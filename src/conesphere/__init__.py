@@ -35,7 +35,6 @@ from .growth import (
     GrowthReport,
     TreeNode,
     bowditch_check,
-    census_csv,
     expand_tree,
     length_census,
 )

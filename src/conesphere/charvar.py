@@ -149,8 +149,7 @@ def matrices_from_triple(p: ParamTriple) -> RepresentationMatrices:
     return RepresentationMatrices(A, B, C, BA, C @ BA)
 
 
-def c_from_level(a: float, b: float, kappa: float,
-                 tol: float = DEFAULT_TOLERANCES.classification) -> float:
+def c_from_level(a: float, b: float, kappa: float) -> float:
     """Solve kappa(a, b, c) = kappa for c: (kappa - 2 + ab) / (ab - a - b).
 
     Raises OnHyperbola on the locus ab - a - b = 0 and Indeterminate at its
@@ -159,8 +158,8 @@ def c_from_level(a: float, b: float, kappa: float,
     """
     den = a * b - a - b
     num = kappa - 2.0 + a * b
-    if abs(den) <= tol:
-        if abs(num) <= tol:
+    if abs(den) <= DEFAULT_TOLERANCES.classification:
+        if abs(num) <= DEFAULT_TOLERANCES.classification:
             raise Indeterminate(
                 f"numerator and denominator both vanish at (a, b) = {(a, b)}",
                 a=a, b=b, kappa=kappa,
@@ -305,8 +304,7 @@ class CbaFixedPoint:
     real_part_negative: bool | None  # set iff a+b-ab < 0, b > 2, |kappa| < 2
 
 
-def cba_fixed_point(p: ParamTriple,
-                    tol: float = DEFAULT_TOLERANCES.classification) -> CbaFixedPoint:
+def cba_fixed_point(p: ParamTriple) -> CbaFixedPoint:
     """Fixed point data of the boundary holonomy CBA.
 
     When a + b - ab < 0, b > 2 and -2 < kappa < 2 the sign flag is set from
@@ -315,11 +313,11 @@ def cba_fixed_point(p: ParamTriple,
     """
     mats = matrices_from_triple(p)
     cba = mats.CBA
-    if cba.is_plus_minus_identity(tol):
+    if cba.is_plus_minus_identity(DEFAULT_TOLERANCES.classification):
         raise DegenerateMinusIdentity(
             f"CBA is +-identity at {p.as_tuple()}", triple=p.as_tuple()
         )
-    point = fixed_points(cba, tol)
+    point = fixed_points(cba)
     a, b = p.a, p.b
     flag = None
     if a + b - a * b < 0 and b > 2.0 and -2.0 < p.kappa < 2.0:

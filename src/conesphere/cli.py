@@ -6,9 +6,12 @@ the point at infinity is serialized as the string "inf" and complex numbers
 as [re, im] pairs.  Domain errors surface as structured JSON error objects
 on stdout with exit code 1; usage errors exit 2.
 
-A JSON config file may supply defaults (seed, output_format, tolerances);
-its path comes from --config or the CONESPHERE_CONFIG environment variable.
-Schemas for every emitted document live in docs/schemas/.
+A JSON config file may supply defaults (seed, output_format, output_path,
+and tolerances with its one key ``classification``, which reaches the
+classify, induced, fncheck and polygon subcommands); its path comes from
+--config or the CONESPHERE_CONFIG environment variable.  A config file that
+cannot be read or holds an unknown key or value is a usage error.  Schemas
+for every emitted document live in docs/schemas/.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 from . import charvar, growth, mcg, verify, volume
 from .charvar import GeometricPoint, ParamTriple
@@ -28,6 +31,7 @@ from .errors import ConesphereError, NotGeometric, SingularPoint
 from .mobius import is_infinite
 
 CONFIG_ENV_VAR = "CONESPHERE_CONFIG"
+OUTPUT_FORMATS = ("json", "csv", "text")
 
 
 @dataclass(frozen=True)
@@ -141,25 +145,44 @@ def parse_pair(text: str) -> tuple:
 
 
 def load_config(path: str | None) -> RunConfig:
+    """Read the JSON config file; raises ValueError when it cannot be used."""
     if path is None:
         path = os.environ.get(CONFIG_ENV_VAR)
     if path is None:
         return RunConfig()
-    with open(path, encoding="utf-8") as handle:
-        raw = json.load(handle)
-    tolerances = Tolerances(**raw.get("tolerances", {}))
-    return RunConfig(
-        tolerances=tolerances,
-        seed=int(raw.get("seed", 0)),
-        output_format=raw.get("output_format", "json"),
-        output_path=raw.get("output_path"),
-    )
+    try:
+        with open(path, encoding="utf-8") as handle:
+            raw = json.load(handle)
+    except OSError as exc:
+        raise ValueError(f"cannot read config {path!r}: {exc.strerror}") from exc
+    if not isinstance(raw, dict):
+        raise ValueError(f"config {path!r} must hold a JSON object")
+    tolerances = raw.get("tolerances", {})
+    if not isinstance(tolerances, dict) or set(tolerances) - {"classification"}:
+        raise ValueError("config tolerances must be an object whose only key is "
+                         f"'classification', got {tolerances!r}")
+    classification = tolerances.get("classification", DEFAULT_TOLERANCES.classification)
+    if type(classification) not in (int, float) or not classification > 0:
+        raise ValueError(f"config tolerances.classification must be a positive number, "
+                         f"got {classification!r}")
+    try:
+        seed = int(raw.get("seed", 0))
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"config seed must be an integer, got {raw['seed']!r}") from exc
+    output_format = raw.get("output_format", "json")
+    if output_format not in OUTPUT_FORMATS:
+        raise ValueError(f"config output_format must be one of {OUTPUT_FORMATS}, "
+                         f"got {output_format!r}")
+    output_path = raw.get("output_path")
+    if output_path is not None and not isinstance(output_path, str):
+        raise ValueError(f"config output_path must be a string, got {output_path!r}")
+    return RunConfig(Tolerances(classification), seed, output_format, output_path)
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a JSON config file")
-    common.add_argument("--format", choices=("json", "csv", "text"), dest="output_format")
+    common.add_argument("--format", choices=OUTPUT_FORMATS, dest="output_format")
     common.add_argument("--output", help="write the document to this path instead of stdout")
     common.add_argument("--seed", type=int, help="seed for sampling commands")
 
@@ -239,14 +262,7 @@ def _cmd_classify(args, config: RunConfig):
         point = GeometricPoint(triple)
         report = charvar.inequality_report(point)
         document["geometric"] = True
-        document["inequalities"] = {
-            "products": list(report.products),
-            "collar_lhs": report.collar_lhs,
-            "collar_rhs": report.collar_rhs,
-            "conecollar_lhs": report.conecollar_lhs,
-            "conecollar_rhs": report.conecollar_rhs,
-            "all_pass": report.all_pass,
-        }
+        document["inequalities"] = asdict(report)
     except NotGeometric:
         document["geometric"] = False
         document["inequalities"] = None
@@ -301,36 +317,16 @@ def _cmd_tree(args, config: RunConfig):
     tree = growth.expand_tree(point, edge, args.depth)
     reports = [growth.bowditch_check(tree, mode)
                for mode in ("normalized_Fe", "value_Fe")]
-    document = {
+    census = None
+    if args.census is not None:
+        census = [asdict(row) for row in growth.length_census(point, args.census)]
+    return {
         "root": list(triple.as_tuple()),
         "start_edge": list(edge),
         "depth": args.depth,
-        "reports": [
-            {
-                "mode": report.mode,
-                "nodes_checked": report.nodes_checked,
-                "defect_max": report.defect_max,
-                "defect_bound": report.defect_bound,
-                "bowditch_ok": report.bowditch_ok,
-                "lower_bound_ok": report.lower_bound_ok,
-            }
-            for report in reports
-        ],
+        "reports": [asdict(report) for report in reports],
+        "census": census,
     }
-    if args.census is not None:
-        rows = growth.length_census(point, args.census)
-        document["census"] = [
-            {
-                "value": row.value,
-                "length": row.length,
-                "multiplicity": row.multiplicity,
-                "depth_first_seen": row.depth_first_seen,
-            }
-            for row in rows
-        ]
-    else:
-        document["census"] = None
-    return document
 
 
 def _cmd_volume(args, config: RunConfig):
@@ -362,11 +358,7 @@ def _cmd_fncheck(args, config: RunConfig):
         "twist": coords.twist,
         "Delta": coords.Delta,
         "step": args.step,
-        "darboux": {
-            "abs_jacobian": darboux.abs_jacobian,
-            "reference": darboux.reference,
-            "rel_err": darboux.rel_err,
-        },
+        "darboux": asdict(darboux),
     }
 
 
@@ -392,10 +384,7 @@ def _cmd_verify(args, config: RunConfig):
     results = verify.run_suite(names, seed=config.seed)
     return {
         "seed": config.seed,
-        "results": [
-            {"name": result.name, "passed": result.passed, "detail": result.detail}
-            for result in results
-        ],
+        "results": [asdict(result) for result in results],
         "all_passed": all(result.passed for result in results),
     }
 
@@ -424,9 +413,7 @@ def _render(command: str, document: dict, output_format: str) -> str:
                             ("kappa", "boundary_kind", "boundary_measure", "value",
                              "reference", "abs_error", "error_estimate"))
         if command == "verify":
-            rows = [{"name": r["name"], "passed": r["passed"], "detail": r["detail"]}
-                    for r in document["results"]]
-            return emit_csv(rows, ("name", "passed", "detail"))
+            return emit_csv(document["results"], ("name", "passed", "detail"))
         raise ValueError(f"csv format is not defined for this {command} document")
     lines = []
     if command == "verify":
@@ -444,16 +431,10 @@ def run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.config)
-        if args.output_format:
-            config = RunConfig(config.tolerances, config.seed, args.output_format,
-                               config.output_path)
-        if args.seed is not None:
-            config = RunConfig(config.tolerances, args.seed, config.output_format,
-                               config.output_path)
-        if args.output:
-            config = RunConfig(config.tolerances, config.seed, config.output_format,
-                               args.output)
+        flags = {"output_format": args.output_format, "seed": args.seed,
+                 "output_path": args.output}
+        config = replace(load_config(args.config),
+                         **{name: value for name, value in flags.items() if value is not None})
         document = _COMMANDS[args.command](args, config)
         text = _render(args.command, document, config.output_format)
     except ConesphereError as exc:

@@ -1,11 +1,9 @@
 """Shared tolerance record.
 
-All numerical cutoffs in the package default to the values below:
+All numerical cutoffs in the package default to the value below:
 ``classification`` for deciding discrete class membership (parabolic vs
-hyperbolic, cusp vs cone point), ``residual`` for fixed-point and
-side-pairing residuals, ``identity`` for algebraic identities checked in
-floating point.  Relative scaling against the magnitude of the operands is
-applied at the point of use.
+hyperbolic, cusp vs cone point).  Relative scaling against the magnitude of
+the operands is applied at the point of use.
 """
 
 from dataclasses import dataclass
@@ -14,8 +12,6 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class Tolerances:
     classification: float = 1e-9
-    residual: float = 1e-10
-    identity: float = 1e-12
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from .charvar import GeometricPoint, ParamTriple, simple_length
 from .errors import NotGeometric
-from .mcg import Involution, apply_involution, reduce_to_domain
+from .mcg import PIVOT_INDEX, Involution, apply_involution, reduce_to_domain
 
 LOG4 = math.log(4.0)
 
@@ -40,12 +40,11 @@ _REPLACES = {Involution.IA: "bc", Involution.IB: "ca", Involution.IC: "ab"}
 _BLOCKER = {frozenset(("ab", "bc")): Involution.IB,
             frozenset(("ab", "ca")): Involution.IA,
             frozenset(("bc", "ca")): Involution.IC}
-_PIVOT_INDEX = {Involution.IA: 0, Involution.IB: 1, Involution.IC: 2}
 
 
-def _products(t: ParamTriple) -> dict:
+def _products(t: ParamTriple) -> tuple:
     a, b, c = t.as_tuple()
-    return {"ab": a * b, "bc": b * c, "ca": c * a}
+    return (a * b, b * c, c * a)
 
 
 @dataclass(slots=True)
@@ -60,15 +59,20 @@ class TreeNode:
     """
 
     triple: ParamTriple
-    values: tuple
     fvals: tuple
-    Fe: float
-    depth: int
     new_slot: str
     defect: float | None
     fe_norm: tuple = field(repr=False)
     fe_value: tuple = field(repr=False)
     children: list = field(default_factory=list, repr=False)
+
+    @property
+    def values(self) -> tuple:
+        return _products(self.triple)
+
+    @property
+    def Fe(self) -> float:
+        return self.fe_norm[SLOTS.index(self.new_slot)]
 
     def f_new(self) -> float:
         return self.fvals[SLOTS.index(self.new_slot)]
@@ -94,41 +98,36 @@ def expand_tree(root: GeometricPoint, start_edge=("ab", "bc"), depth: int = 10) 
         raise ValueError(f"start_edge must be two distinct slots from {SLOTS}, got {start_edge!r}")
     blocked = _BLOCKER[edge]
     products = _products(root.triple)
-    if min(products.values()) <= 4.0:
-        raise NotGeometric(f"pair products must exceed 4, got {products}")
-    fvals = tuple(math.log(products[slot]) for slot in SLOTS)
-    root_new = _REPLACES[blocked]
+    if min(products) <= 4.0:
+        raise NotGeometric(f"pair products must exceed 4, got {dict(zip(SLOTS, products))}")
+    fvals = tuple(math.log(value) for value in products)
     node = TreeNode(
         triple=root.triple,
-        values=tuple(products[slot] for slot in SLOTS),
         fvals=fvals,
-        Fe=1.0,
-        depth=0,
-        new_slot=root_new,
+        new_slot=_REPLACES[blocked],
         defect=None,
         fe_norm=(1.0, 1.0, 1.0),
         fe_value=fvals,
     )
-    stack = [(node, blocked)]
+    stack = [(node, blocked, 0)]
     while stack:
-        parent, excluded = stack.pop()
-        if parent.depth >= depth:
+        parent, excluded, level = stack.pop()
+        if level >= depth:
             continue
         for move in Involution:
             if move is excluded:
                 continue
             child = _child(parent, move)
             parent.children.append(child)
-            stack.append((child, move))
+            stack.append((child, move, level + 1))
     return node
 
 
 def _child(parent: TreeNode, move: Involution) -> TreeNode:
     slot = _REPLACES[move]
     index = SLOTS.index(slot)
-    pivot = parent.triple.as_tuple()[_PIVOT_INDEX[move]]
+    pivot = parent.triple.as_tuple()[PIVOT_INDEX[move]]
     triple = apply_involution(move, parent.triple)
-    products = _products(triple)
     others = [i for i in range(3) if i != index]
     fe_norm = list(parent.fe_norm)
     fe_value = list(parent.fe_value)
@@ -136,10 +135,7 @@ def _child(parent: TreeNode, move: Involution) -> TreeNode:
     fe_value[index] = fe_value[others[0]] + fe_value[others[1]]
     return TreeNode(
         triple=triple,
-        values=tuple(products[name] for name in SLOTS),
-        fvals=tuple(math.log(products[name]) for name in SLOTS),
-        Fe=fe_norm[index],
-        depth=parent.depth + 1,
+        fvals=tuple(math.log(value) for value in _products(triple)),
         new_slot=slot,
         defect=2.0 * math.log(pivot / (pivot - 1.0)),
         fe_norm=tuple(fe_norm),
@@ -160,9 +156,9 @@ class GrowthReport:
     mode: str
     nodes_checked: int
     defect_max: float
+    defect_bound: float
     bowditch_ok: bool
     lower_bound_ok: bool
-    defect_bound: float = LOG4
 
 
 def bowditch_check(tree: TreeNode, mode: str = "normalized_Fe",
@@ -191,10 +187,11 @@ def bowditch_check(tree: TreeNode, mode: str = "normalized_Fe",
         defect_max = max(defect_max, node.defect)
         if node.defect > LOG4 + slack:
             bowditch_ok = False
-        fe = node.Fe if mode == "normalized_Fe" else node.fe_value[SLOTS.index(node.new_slot)]
-        if node.f_new() < (m - LOG4) * fe + LOG4 - slack:
+        index = SLOTS.index(node.new_slot)
+        fe = node.fe_norm[index] if mode == "normalized_Fe" else node.fe_value[index]
+        if node.fvals[index] < (m - LOG4) * fe + LOG4 - slack:
             lower_bound_ok = False
-    return GrowthReport(mode, nodes_checked, defect_max, bowditch_ok, lower_bound_ok)
+    return GrowthReport(mode, nodes_checked, defect_max, LOG4, bowditch_ok, lower_bound_ok)
 
 
 @dataclass(frozen=True)
@@ -220,8 +217,7 @@ def length_census(root: GeometricPoint, bound: float,
     if bound <= LOG4:
         raise ValueError(f"bound must exceed log 4, got {bound!r}")
     start = reduce_to_domain(root).end
-    products = _products(start)
-    found = [(math.log(value), 0) for value in products.values()
+    found = [(math.log(value), 0) for value in _products(start)
              if math.log(value) <= bound]
     queue = deque([(start, None, 0)])
     while queue:
@@ -230,9 +226,7 @@ def length_census(root: GeometricPoint, bound: float,
             if move is excluded:
                 continue
             child = apply_involution(move, triple)
-            slot = _REPLACES[move]
-            value = _products(child)[slot]
-            f_new = math.log(value)
+            f_new = math.log(_products(child)[SLOTS.index(_REPLACES[move])])
             if f_new > bound:
                 continue
             found.append((f_new, level + 1))
@@ -249,10 +243,3 @@ def length_census(root: GeometricPoint, bound: float,
         CensusRow(value, simple_length(math.exp(value)), multiplicity, first_seen)
         for value, multiplicity, first_seen in rows
     ]
-
-
-def census_csv(rows) -> str:
-    lines = ["value,length,multiplicity,depth_first_seen"]
-    for row in rows:
-        lines.append(f"{row.value:.17g},{row.length:.17g},{row.multiplicity},{row.depth_first_seen}")
-    return "\n".join(lines) + "\n"

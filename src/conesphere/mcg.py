@@ -48,15 +48,16 @@ class Involution(Enum):
     IC = "Ic"
 
 
-_PIVOT_INDEX = {Involution.IA: 0, Involution.IB: 1, Involution.IC: 2}
+PIVOT_INDEX = {Involution.IA: 0, Involution.IB: 1, Involution.IC: 2}
+
+_POLE_TOL = DEFAULT_TOLERANCES.classification
 
 
-def apply_involution(inv: Involution, p: ParamTriple,
-                     tol: float = DEFAULT_TOLERANCES.classification) -> ParamTriple:
+def apply_involution(inv: Involution, p: ParamTriple) -> ParamTriple:
     """Apply one involution; the pivot coordinate must not equal 1 (the pole)."""
     a, b, c = p.as_tuple()
-    pivot = (a, b, c)[_PIVOT_INDEX[inv]]
-    if abs(pivot - 1.0) <= tol:
+    pivot = (a, b, c)[PIVOT_INDEX[inv]]
+    if abs(pivot - 1.0) <= _POLE_TOL:
         raise PivotAtOne(f"{inv.value} pivot is 1 at {p.as_tuple()}", involution=inv.value)
     m = pivot - 1.0
     if inv is Involution.IA:
@@ -86,8 +87,7 @@ class InvolutionWord:
         return [letter.value for letter in self.letters]
 
 
-def apply_word(word: InvolutionWord, p: ParamTriple,
-               tol: float = DEFAULT_TOLERANCES.classification) -> ParamTriple:
+def apply_word(word: InvolutionWord, p: ParamTriple) -> ParamTriple:
     """Apply a reduced word, rightmost letter first.
 
     A pivot hitting 1 raises PivotAtOne carrying the prefix applied so far.
@@ -96,7 +96,7 @@ def apply_word(word: InvolutionWord, p: ParamTriple,
     applied = []
     for letter in reversed(word.letters):
         try:
-            current = apply_involution(letter, current, tol)
+            current = apply_involution(letter, current)
         except PivotAtOne as exc:
             raise PivotAtOne(
                 f"pivot reached 1 while applying {letter.value}",
@@ -144,7 +144,7 @@ def reduce_to_domain(p: GeometricPoint, max_steps: int = 500) -> ReductionTrace:
             )
         best = None
         for inv in (Involution.IA, Involution.IB, Involution.IC):
-            pivot = current.as_tuple()[_PIVOT_INDEX[inv]]
+            pivot = current.as_tuple()[PIVOT_INDEX[inv]]
             if 1.0 < pivot < 2.0:
                 candidate = apply_involution(inv, current)
                 if best is None or energy(candidate) < energy(best[1]):
@@ -161,7 +161,6 @@ def reduce_to_domain(p: GeometricPoint, max_steps: int = 500) -> ReductionTrace:
     return ReductionTrace(p.triple, word, current, tuple(energies))
 
 
-_GENERATORS = "abc"
 _LETTERS = set("abcABC")
 
 
@@ -392,8 +391,3 @@ def _line_samples(axis: str, count: int = 16):
             yield (2.0, t, 2.0)
         else:
             yield (2.0, 2.0, t)
-
-
-def kappa_drift_scale(p: ParamTriple, q: ParamTriple) -> float:
-    """Conditioning scale for comparing kappa across an involution orbit step."""
-    return max(1.0, abs(energy(p)), abs(energy(q)))

@@ -100,9 +100,6 @@ class UnimodularMatrix:
                 return True
         return False
 
-    def __call__(self, z):
-        return apply_mobius(self, z)
-
 
 class IsometryType(Enum):
     IDENTITY = "Identity"

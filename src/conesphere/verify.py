@@ -22,8 +22,6 @@ from .charvar import GeometricPoint, ParamTriple, kappa_of
 from .mcg import Involution
 from .mobius import apply_mobius, fixed_points
 
-LOG4 = math.log(4.0)
-
 
 @dataclass(frozen=True)
 class CheckResult:

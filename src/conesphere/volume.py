@@ -50,8 +50,7 @@ class SymplecticDensity:
     value: float
 
 
-def wp_density(p: ParamTriple, pair: str = "ab",
-               tol: float = DEFAULT_TOLERANCES.classification) -> SymplecticDensity:
+def wp_density(p: ParamTriple, pair: str = "ab") -> SymplecticDensity:
     """Density 1/(xy - x - y) of the symplectic form in the chosen pair."""
     a, b, c = p.as_tuple()
     coords = {"ab": (a, b), "bc": (b, c), "ca": (c, a)}
@@ -59,13 +58,12 @@ def wp_density(p: ParamTriple, pair: str = "ab",
         raise ValueError(f"pair must be one of {PAIRS}, got {pair!r}")
     x, y = coords[pair]
     den = x * y - x - y
-    if abs(den) <= tol:
+    if abs(den) <= DEFAULT_TOLERANCES.classification:
         raise OnHyperbola(f"pair {pair} of {p.as_tuple()} lies on xy - x - y = 0", pair=pair)
     return SymplecticDensity(pair, 1.0 / den)
 
 
-def symplectic_consistency(p: ParamTriple, h: float = 1e-5,
-                           tol: float = DEFAULT_TOLERANCES.classification) -> float:
+def symplectic_consistency(p: ParamTriple, h: float = 1e-5) -> float:
     """Max relative discrepancy between the three coordinate expressions of the form.
 
     On the level set, c is implicitly a function of (a, b) and the equality
@@ -76,7 +74,7 @@ def symplectic_consistency(p: ParamTriple, h: float = 1e-5,
     a, b, c = p.as_tuple()
     kappa = p.kappa
     for x, y in ((a, b), (b, c), (c, a)):
-        if abs(x * y - x - y) <= tol:
+        if abs(x * y - x - y) <= DEFAULT_TOLERANCES.classification:
             raise OnHyperbola(f"{p.as_tuple()} lies on a coordinate hyperbola")
     dc_da = (c_from_level(a + h, b, kappa) - c_from_level(a - h, b, kappa)) / (2.0 * h)
     lhs = -dc_da / (b * c - b - c)

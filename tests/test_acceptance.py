@@ -22,35 +22,23 @@ they complete.  Tolerances are fixed inside the suite:
   11. derivative relation: constant pi*i at 1e-9 agreement.
 """
 
-import random
-
 import pytest
 
 from conesphere import verify
 
 
-def _run(check, needs_rng, name):
-    rng = random.Random(f"0:{name}") if needs_rng else None
-    result = check(rng) if needs_rng else check()
+def _run(name):
+    result = verify.run_suite([name], seed=0)[0]
     status = "PASS" if result.passed else "FAIL"
     print(f"{status} {result.name}: {result.detail}")
     assert result.passed, result.detail
-    return result
 
 
-@pytest.mark.parametrize(
-    "name,check,needs_rng",
-    verify.ACCEPTANCE_CRITERIA,
-    ids=[name for name, _, _ in verify.ACCEPTANCE_CRITERIA],
-)
-def test_acceptance_criterion(name, check, needs_rng):
-    _run(check, needs_rng, name)
+@pytest.mark.parametrize("name", [name for name, _, _ in verify.ACCEPTANCE_CRITERIA])
+def test_acceptance_criterion(name):
+    _run(name)
 
 
-@pytest.mark.parametrize(
-    "name,check,needs_rng",
-    verify.MODULE_SUITES,
-    ids=[name for name, _, _ in verify.MODULE_SUITES],
-)
-def test_module_property_suite(name, check, needs_rng):
-    _run(check, needs_rng, name)
+@pytest.mark.parametrize("name", [name for name, _, _ in verify.MODULE_SUITES])
+def test_module_property_suite(name):
+    _run(name)

@@ -129,6 +129,7 @@ def test_tree_census_csv(capsys):
     lines = output.strip().split("\n")
     assert lines[0] == "value,length,multiplicity,depth_first_seen"
     assert len(lines) == 3
+    assert lines[1].split(",")[2] == "3"
 
 
 def test_fncheck_subcommand(capsys):
@@ -251,6 +252,56 @@ def test_config_file_sets_seed(tmp_path, capsys, monkeypatch):
     code, document = run_json(capsys, ["verify", "--suite", "derivative_relation"])
     assert code == 0
     assert document["seed"] == 11
+
+
+@pytest.mark.parametrize("content", [
+    '{"tolerances": {"residual": 1e-10}}',
+    '{"tolerances": {"identity": 1e-12}}',
+    '[1, 2]',
+    None,
+    '{"output_format": "xml"}',
+    '{"tolerances": {"classification": "tight"}}',
+    '{"seed": null}',
+    '{"output_path": 5}',
+], ids=["unknown_tolerance", "dropped_tolerance", "array", "missing_file", "xml_format",
+        "non_numeric_tolerance", "null_seed", "non_string_output_path"])
+def test_bad_config_is_usage_error(tmp_path, capsys, content):
+    config = tmp_path / "config.json"
+    if content is not None:
+        config.write_text(content)
+    with pytest.raises(SystemExit) as info:
+        run(["classify", "--triple", "3,3,3", "--config", str(config)])
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "config" in captured.err
+
+
+KEY_ORDER_CASES = [
+    ("classify", ["classify", "--triple", "3,3,3"], ["inequalities"]),
+    ("tree", ["tree", "--root", "3,3,3", "--depth", "3", "--census", "4"],
+     ["reports", "census"]),
+    ("fncheck", ["fncheck", "--point", "3,3"], ["darboux"]),
+    ("verify", ["verify", "--suite", "derivative_relation"], ["results"]),
+]
+
+
+@pytest.mark.parametrize("name,argv,nested", KEY_ORDER_CASES,
+                         ids=[case[0] for case in KEY_ORDER_CASES])
+def test_document_keys_follow_schema_order(capsys, name, argv, nested):
+    # json.loads keeps the emitted key order, so list(dict) is the order on stdout
+    code, document = run_json(capsys, argv)
+    properties = load_schema(name)["properties"]
+    assert code == 0
+    assert list(document) == list(properties)
+    for key in nested:
+        schema = properties[key]
+        schema = schema["oneOf"][1] if "oneOf" in schema else schema
+        schema = schema.get("items", schema)
+        entries = document[key] if isinstance(document[key], list) else [document[key]]
+        assert entries
+        for entry in entries:
+            assert list(entry) == list(schema["properties"])
 
 
 def test_floats_serialized_17_digits(capsys):

@@ -7,7 +7,6 @@ from conesphere.growth import (
     LOG4,
     SLOTS,
     bowditch_check,
-    census_csv,
     expand_tree,
     iter_nodes,
     length_census,
@@ -135,12 +134,3 @@ def test_census_values_invert_to_lengths():
 def test_census_requires_usable_bound():
     with pytest.raises(ValueError):
         length_census(REGULAR, math.log(4.0))
-
-
-def test_census_csv_shape():
-    rows = length_census(REGULAR, math.log(40.0))
-    text = census_csv(rows)
-    lines = text.strip().split("\n")
-    assert lines[0] == "value,length,multiplicity,depth_first_seen"
-    assert len(lines) == len(rows) + 1
-    assert lines[1].split(",")[2] == "3"
