@@ -209,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tree", parents=[common],
                        help="orbit tree growth report and optional length census")
     p.add_argument("--root", required=True)
-    p.add_argument("--depth", type=int, default=10)
+    p.add_argument("--depth", type=int, default=10,
+                   help=f"tree depth, 0 to {growth.MAX_DEPTH}")
     p.add_argument("--census", type=float, default=None,
                    help="census bound on log(pair product)")
     p.add_argument("--start-edge", default="ab,bc")
@@ -445,8 +446,11 @@ def run(argv) -> int:
     except ValueError as exc:
         parser.exit(2, f"error: {exc}\n")
     if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(config.output_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            parser.exit(2, f"error: cannot write {config.output_path!r}: {exc.strerror}\n")
     else:
         sys.stdout.write(text)
     if args.command == "verify":

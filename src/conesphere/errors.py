@@ -52,7 +52,7 @@ class NotHyperbolic(ConesphereError):
 
 
 class OutOfRange(ConesphereError):
-    """Level value outside the admissible range; ``details['reason']`` refines it."""
+    """Level value or point outside the admissible range; ``details['reason']`` refines it."""
 
     code = "out_of_range"
 

@@ -19,63 +19,154 @@ F_e adds the two flanking values at each step and so grows like Fibonacci
 numbers, which yields the lower bound f >= (m - log 4)*F_e + log 4 with m
 the minimum root value; that bound prunes the breadth-first length census
 exactly.
+
+Tree and census run in the log coordinates (log a, log b, log c), where one
+step with pivot p = e^lp reads
+
+    t = log(-expm1(-lp))        so that  log(p - 1) = lp + t
+    pivot coordinate  -> lp - log(p - 1) = -t
+    other coordinates -> + log(p - 1)
+    defect            =  -2*t
+
+and the f-values are sums of two logs.  Coordinates grow doubly
+exponentially along the tree, their logs only exponentially, so no value
+overflows at any depth or census bound.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .charvar import GeometricPoint, ParamTriple, simple_length
-from .errors import NotGeometric
-from .mcg import PIVOT_INDEX, Involution, apply_involution, reduce_to_domain
+import numpy as np
+
+from .charvar import GeometricPoint, simple_length
+from .errors import NotGeometric, PivotAtOne
+from .mcg import _POLE_TOL, Involution, reduce_to_domain
 
 LOG4 = math.log(4.0)
 
 SLOTS = ("ab", "bc", "ca")
 
-# the involution that replaces a slot, and vice versa
-_REPLACES = {Involution.IA: "bc", Involution.IB: "ca", Involution.IC: "ab"}
-_BLOCKER = {frozenset(("ab", "bc")): Involution.IB,
-            frozenset(("ab", "ca")): Involution.IA,
-            frozenset(("bc", "ca")): Involution.IC}
+# Involution k (Ia, Ib, Ic = 0, 1, 2) pivots on coordinate k and replaces
+# slot k + 1 (mod 3); slot s is the sum of log coordinates s and s + 1.
+_BLOCKER = {frozenset(("ab", "bc")): 1, frozenset(("ab", "ca")): 0, frozenset(("bc", "ca")): 2}
+_MOVES = tuple(Involution)
+
+# p - 1 <= tol  <=>  log p <= log1p(tol): a pivot at (or below) the pole
+_LOG_POLE = math.log1p(_POLE_TOL)
+
+MAX_DEPTH = 20  # 2^21 - 1 vertices at 81 B each (about 100 B while a level grows)
 
 
-def _products(t: ParamTriple) -> tuple:
-    a, b, c = t.as_tuple()
-    return (a * b, b * c, c * a)
+def _pivot_at_one(move: int, lp) -> PivotAtOne:
+    name = _MOVES[move].value
+    return PivotAtOne(f"{name} pivot is 1 (log pivot {float(lp)!r})", involution=name)
 
 
-@dataclass(slots=True)
-class TreeNode:
-    """A vertex of the binary orbit subtree.
+@dataclass(frozen=True, slots=True)
+class TreeLevel:
+    """The vertices of one tree level as arrays; vertex i has children 2i, 2i+1.
 
-    ``values``, ``fvals`` and the comparison tuples follow the slot order
-    (ab, bc, ca).  ``new_slot`` names the region created at this node (for
-    the root, the region opposite the starting edge) and ``Fe`` is its
-    normalized comparison value.  The edge defect 2*log(pivot/(pivot-1)) is
-    None at the root.
+    ``logs`` holds (log a, log b, log c); ``fe_norm`` and ``fe_value`` the
+    comparison values in slot order (ab, bc, ca); ``new_slot`` the index of
+    the region created at the vertex and ``defect`` the defect of the move
+    that created it (nan at the root, which no move creates).
     """
 
-    triple: ParamTriple
-    fvals: tuple
-    new_slot: str
-    defect: float | None
-    fe_norm: tuple = field(repr=False)
-    fe_value: tuple = field(repr=False)
-    children: list = field(default_factory=list, repr=False)
+    logs: np.ndarray
+    new_slot: np.ndarray
+    defect: np.ndarray
+    fe_norm: np.ndarray
+    fe_value: np.ndarray
+
+    def fvals(self) -> np.ndarray:
+        """Region values f = log(pair product) in slot order, shape (n, 3)."""
+        return self.logs + self.logs[:, [1, 2, 0]]
+
+
+def _grow(level: TreeLevel) -> TreeLevel:
+    """The next level: each vertex's two moves in the order Ia < Ib < Ic,
+    leaving out the move that created it."""
+    excluded = (level.new_slot + 2) % 3
+    moves = np.empty(2 * len(excluded), dtype=np.int8)
+    moves[0::2] = np.where(excluded == 0, 1, 0)
+    moves[1::2] = np.where(excluded == 2, 1, 2)
+    rows = np.arange(len(moves))
+    logs = np.repeat(level.logs, 2, axis=0)
+    lp = logs[rows, moves]
+    at_pole = ~(lp > _LOG_POLE)
+    if at_pole.any():
+        first = int(np.argmax(at_pole))
+        raise _pivot_at_one(int(moves[first]), lp[first])
+    t = np.log(-np.expm1(-lp))
+    logs += (lp + t)[:, None]
+    logs[rows, moves] = -t
+    slot = (moves + 1) % 3
+    x, y = (slot + 1) % 3, (slot + 2) % 3
+    fe_norm = np.repeat(level.fe_norm, 2, axis=0)
+    fe_norm[rows, slot] = fe_norm[rows, x] + fe_norm[rows, y]
+    fe_value = np.repeat(level.fe_value, 2, axis=0)
+    fe_value[rows, slot] = fe_value[rows, x] + fe_value[rows, y]
+    return TreeLevel(logs, slot, -2.0 * t, fe_norm, fe_value)
+
+
+class TreeNode:
+    """View of one vertex of the binary orbit subtree built by expand_tree.
+
+    ``fvals`` and the comparison tuples follow the slot order (ab, bc, ca).
+    ``new_slot`` names the region created at this vertex (for the root, the
+    region opposite the starting edge) and ``Fe`` is its normalized
+    comparison value.  The edge defect 2*log(pivot/(pivot-1)) is None at
+    the root.  ``levels`` holds the whole tree.
+    """
+
+    __slots__ = ("levels", "level", "index")
+
+    def __init__(self, levels: tuple, level: int, index: int):
+        self.levels = levels
+        self.level = level
+        self.index = index
 
     @property
-    def values(self) -> tuple:
-        return _products(self.triple)
+    def children(self) -> list:
+        if self.level + 1 >= len(self.levels):
+            return []
+        first = 2 * self.index
+        return [TreeNode(self.levels, self.level + 1, first),
+                TreeNode(self.levels, self.level + 1, first + 1)]
+
+    @property
+    def _slot(self) -> int:
+        return int(self.levels[self.level].new_slot[self.index])
+
+    @property
+    def new_slot(self) -> str:
+        return SLOTS[self._slot]
+
+    @property
+    def fvals(self) -> tuple:
+        la, lb, lc = self.levels[self.level].logs[self.index].tolist()
+        return (la + lb, lb + lc, lc + la)
+
+    @property
+    def defect(self) -> float | None:
+        return None if self.level == 0 else float(self.levels[self.level].defect[self.index])
+
+    @property
+    def fe_norm(self) -> tuple:
+        return tuple(self.levels[self.level].fe_norm[self.index].tolist())
+
+    @property
+    def fe_value(self) -> tuple:
+        return tuple(self.levels[self.level].fe_value[self.index].tolist())
 
     @property
     def Fe(self) -> float:
-        return self.fe_norm[SLOTS.index(self.new_slot)]
+        return self.fe_norm[self._slot]
 
     def f_new(self) -> float:
-        return self.fvals[SLOTS.index(self.new_slot)]
+        return self.fvals[self._slot]
 
     def flank_slots(self) -> tuple:
         return tuple(slot for slot in SLOTS if slot != self.new_slot)
@@ -89,61 +180,35 @@ def expand_tree(root: GeometricPoint, start_edge=("ab", "bc"), depth: int = 10) 
     backtrack), and below the root each node excludes its creating move.
     Comparison values F_e start at 1 on all three root regions (log of the
     root value in the alternative base used by bowditch_check) and follow
-    F_e(new) = F_e(x) + F_e(y) down the tree.
+    F_e(new) = F_e(x) + F_e(y) down the tree.  ``depth`` runs from 0 to
+    MAX_DEPTH; level k holds 2^k vertices.
     """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
+    if not 0 <= depth <= MAX_DEPTH:
+        raise ValueError(f"depth must be in 0..{MAX_DEPTH}, got {depth}")
     edge = frozenset(start_edge)
     if edge not in _BLOCKER:
         raise ValueError(f"start_edge must be two distinct slots from {SLOTS}, got {start_edge!r}")
-    blocked = _BLOCKER[edge]
-    products = _products(root.triple)
+    a, b, c = root.triple.as_tuple()
+    products = (a * b, b * c, c * a)
     if min(products) <= 4.0:
         raise NotGeometric(f"pair products must exceed 4, got {dict(zip(SLOTS, products))}")
-    fvals = tuple(math.log(value) for value in products)
-    node = TreeNode(
-        triple=root.triple,
-        fvals=fvals,
-        new_slot=_REPLACES[blocked],
-        defect=None,
-        fe_norm=(1.0, 1.0, 1.0),
-        fe_value=fvals,
+    logs = np.log(np.array([[a, b, c]], dtype=float))
+    level = TreeLevel(
+        logs=logs,
+        new_slot=np.array([(_BLOCKER[edge] + 1) % 3], dtype=np.int8),
+        defect=np.array([math.nan]),
+        fe_norm=np.ones((1, 3)),
+        fe_value=logs + logs[:, [1, 2, 0]],
     )
-    stack = [(node, blocked, 0)]
-    while stack:
-        parent, excluded, level = stack.pop()
-        if level >= depth:
-            continue
-        for move in Involution:
-            if move is excluded:
-                continue
-            child = _child(parent, move)
-            parent.children.append(child)
-            stack.append((child, move, level + 1))
-    return node
-
-
-def _child(parent: TreeNode, move: Involution) -> TreeNode:
-    slot = _REPLACES[move]
-    index = SLOTS.index(slot)
-    pivot = parent.triple.as_tuple()[PIVOT_INDEX[move]]
-    triple = apply_involution(move, parent.triple)
-    others = [i for i in range(3) if i != index]
-    fe_norm = list(parent.fe_norm)
-    fe_value = list(parent.fe_value)
-    fe_norm[index] = fe_norm[others[0]] + fe_norm[others[1]]
-    fe_value[index] = fe_value[others[0]] + fe_value[others[1]]
-    return TreeNode(
-        triple=triple,
-        fvals=tuple(math.log(value) for value in _products(triple)),
-        new_slot=slot,
-        defect=2.0 * math.log(pivot / (pivot - 1.0)),
-        fe_norm=tuple(fe_norm),
-        fe_value=tuple(fe_value),
-    )
+    levels = [level]
+    for _ in range(depth):
+        level = _grow(level)
+        levels.append(level)
+    return TreeNode(tuple(levels), 0, 0)
 
 
 def iter_nodes(tree: TreeNode):
+    """Every vertex view below ``tree``, depth first."""
     stack = [tree]
     while stack:
         node = stack.pop()
@@ -171,26 +236,29 @@ def bowditch_check(tree: TreeNode, mode: str = "normalized_Fe",
     ``mode`` selects the F_e base case: 'normalized_Fe' starts all three
     root regions at 1, 'value_Fe' starts them at their own log values.  The
     two scalings are not equivalent; the lower bound is expected to hold in
-    normalized mode only, and the report never hides a failure.
+    normalized mode only, and the report never hides a failure: a
+    non-finite value fails both inequalities.  ``tree`` is the root
+    returned by expand_tree.
     """
     if mode not in ("normalized_Fe", "value_Fe"):
         raise ValueError(f"unknown mode {mode!r}")
-    m = min(tree.fvals)
+    if tree.level != 0:
+        raise ValueError("bowditch_check needs the root of an expanded tree")
+    m = float(tree.levels[0].fvals().min())
     nodes_checked = 0
     defect_max = 0.0
     bowditch_ok = True
     lower_bound_ok = True
-    for node in iter_nodes(tree):
-        if node.defect is None:
-            continue
-        nodes_checked += 1
-        defect_max = max(defect_max, node.defect)
-        if node.defect > LOG4 + slack:
-            bowditch_ok = False
-        index = SLOTS.index(node.new_slot)
-        fe = node.fe_norm[index] if mode == "normalized_Fe" else node.fe_value[index]
-        if node.fvals[index] < (m - LOG4) * fe + LOG4 - slack:
-            lower_bound_ok = False
+    for level in tree.levels[1:]:
+        rows = np.arange(len(level.defect))
+        slot = level.new_slot
+        f_new = level.logs[rows, slot] + level.logs[rows, (slot + 1) % 3]
+        fe = (level.fe_norm if mode == "normalized_Fe" else level.fe_value)[rows, slot]
+        nodes_checked += len(rows)
+        defect_max = max(defect_max, float(level.defect.max()))
+        bowditch_ok = bowditch_ok and bool(np.all(level.defect <= LOG4 + slack))
+        lower_bound_ok = lower_bound_ok and bool(
+            np.all(f_new >= (m - LOG4) * fe + LOG4 - slack))
     return GrowthReport(mode, nodes_checked, defect_max, LOG4, bowditch_ok, lower_bound_ok)
 
 
@@ -200,6 +268,14 @@ class CensusRow:
     length: float           # simple loop length 2*acosh((e^value - 2)/2)
     multiplicity: int
     depth_first_seen: int
+
+
+def _length(value: float) -> float:
+    # 2*acosh(x) = 2*log(2x) - O(x^-2) with 2x = e^f - 2; the remainder is
+    # below double precision for f >= 40, where e^f would soon overflow
+    if value >= 40.0:
+        return 2.0 * (value + math.log1p(-2.0 * math.exp(-value)))
+    return simple_length(math.exp(value))
 
 
 def length_census(root: GeometricPoint, bound: float,
@@ -212,34 +288,57 @@ def length_census(root: GeometricPoint, bound: float,
     makes pruning at the bound exact.  Breadth-first over the full trivalent
     tree (every involution allowed at the root, the creating move excluded
     below); ``depth_first_seen`` counts levels from the representative.
-    Values are merged at ``merge_tol`` absolute; rows come back sorted.
+    Values are merged at ``merge_tol`` absolute against the first value of
+    a row; rows come back sorted.  The walk runs in log coordinates, so any
+    finite bound is valid.
     """
     if bound <= LOG4:
         raise ValueError(f"bound must exceed log 4, got {bound!r}")
-    start = reduce_to_domain(root).end
-    found = [(math.log(value), 0) for value in _products(start)
-             if math.log(value) <= bound]
-    queue = deque([(start, None, 0)])
-    while queue:
-        triple, excluded, level = queue.popleft()
-        for move in Involution:
-            if move is excluded:
-                continue
-            child = apply_involution(move, triple)
-            f_new = math.log(_products(child)[SLOTS.index(_REPLACES[move])])
-            if f_new > bound:
-                continue
-            found.append((f_new, level + 1))
-            queue.append((child, move, level + 1))
-    found.sort()
-    rows = []
-    for f_value, level in found:
-        if rows and abs(f_value - rows[-1][0]) <= merge_tol:
-            rows[-1][1] += 1
-            rows[-1][2] = min(rows[-1][2], level)
-        else:
-            rows.append([f_value, 1, level])
+    a, b, c = reduce_to_domain(root).end.as_tuple()
+    la, lb, lc = math.log(a), math.log(b), math.log(c)
+    values = [f for f in (la + lb, lb + lc, lc + la) if f <= bound]
+    levels = [0] * len(values)
+    log, expm1 = math.log, math.expm1
+    frontier = [(la, lb, lc, -1)]
+    level = 0
+    while frontier:
+        level += 1
+        following = []
+        for la, lb, lc, excluded in frontier:
+            for move, lp, x, y in ((0, la, lb, lc), (1, lb, lc, la), (2, lc, la, lb)):
+                if move == excluded:
+                    continue
+                if lp <= _LOG_POLE:
+                    raise _pivot_at_one(move, lp)
+                t = log(-expm1(-lp))
+                step = lp + t
+                # the new region pairs the two coordinates that gain log(p - 1)
+                f_new = x + y + 2.0 * step
+                if f_new > bound:
+                    continue
+                values.append(f_new)
+                levels.append(level)
+                if move == 0:
+                    following.append((-t, lb + step, lc + step, 0))
+                elif move == 1:
+                    following.append((la + step, -t, lc + step, 1))
+                else:
+                    following.append((la + step, lb + step, -t, 2))
+        frontier = following
+    values = np.asarray(values)
+    order = np.argsort(values)
+    ordered = values[order].tolist()
+    starts = []
+    first = -math.inf
+    for k, f_value in enumerate(ordered):
+        if f_value - first > merge_tol:
+            first = f_value
+            starts.append(k)
+    if not starts:
+        return []
+    multiplicity = np.diff(starts, append=len(ordered)).tolist()
+    first_seen = np.minimum.reduceat(np.asarray(levels)[order], starts).tolist()
     return [
-        CensusRow(value, simple_length(math.exp(value)), multiplicity, first_seen)
-        for value, multiplicity, first_seen in rows
+        CensusRow(ordered[k], _length(ordered[k]), count, seen)
+        for k, count, seen in zip(starts, multiplicity, first_seen)
     ]

@@ -94,6 +94,10 @@ class FNCoordinates:
     Delta: float  # sqrt((ab - 2)^2 - 4) = 2*sinh(length/2)
 
 
+# the axis formulas square ab - 2, which overflows past about 1.3e154
+_MAX_PRODUCT = 1e150
+
+
 def axis_endpoints(a: float, b: float,
                    tol: float = DEFAULT_TOLERANCES.classification) -> tuple:
     """Endpoints alpha+- = (2b - ab +- Delta) / (a + b - ab) of the twisting axis.
@@ -104,6 +108,9 @@ def axis_endpoints(a: float, b: float,
     product = a * b
     if product <= 4.0:
         raise NotHyperbolic(f"ab = {product!r} <= 4")
+    if not product < _MAX_PRODUCT:
+        raise OutOfRange(f"ab = {product!r} is not below {_MAX_PRODUCT:g}, the range of "
+                         "the axis formulas", reason="above_range", product=product)
     den = a + b - product
     if abs(den) <= tol:
         raise DegenerateAxis(f"(a, b) = {(a, b)} lies on ab - a - b = 0")

@@ -14,17 +14,19 @@ they complete.  Tolerances are fixed inside the suite:
   6.  volume family: polynomial references within 1e-3 across levels.
   7.  symplectic: density consistency < 1e-6 at h = 1e-5 with O(h^2)
       refinement, Darboux pairing within 1e-5.
-  8.  Fibonacci growth: depth-15 trees, transfer identity 1e-12, defect
-      bound log 4, normalized lower bound.
+  8.  Fibonacci growth: depth-15 trees, every vertex finite, transfer
+      identity 1e-12, defect bound log 4, normalized lower bound.
   9.  reduction: < 200 steps, strictly decreasing energy, replay 1e-9.
   10. hyperbolization: residual 1e-10, sign lemma, convexity, pairings 1e-9,
       angle sum within 1e-6 (derived property).
   11. derivative relation: constant pi*i at 1e-9 agreement.
 """
 
+import math
+
 import pytest
 
-from conesphere import verify
+from conesphere import growth, verify
 
 
 def _run(name):
@@ -42,3 +44,16 @@ def test_acceptance_criterion(name):
 @pytest.mark.parametrize("name", [name for name, _, _ in verify.MODULE_SUITES])
 def test_module_property_suite(name):
     _run(name)
+
+
+def test_fibonacci_growth_fails_on_a_nonfinite_vertex(monkeypatch):
+    expand = growth.expand_tree
+
+    def planted(root, start_edge, depth):
+        tree = expand(root, start_edge, depth)
+        tree.levels[7].logs[5, 1] = math.nan
+        return tree
+    monkeypatch.setattr(growth, "expand_tree", planted)
+    result = verify.run_suite(["fibonacci_growth"], seed=0)[0]
+    assert not result.passed
+    assert "non-finite" in result.detail and " 0 non-finite" not in result.detail

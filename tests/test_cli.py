@@ -191,6 +191,32 @@ def test_tree_rejects_bad_start_edge(capsys):
     assert info.value.code == 2
 
 
+def test_tree_depth_past_cap_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        run(["tree", "--root", "3,3,3", "--depth", "21"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.startswith("error: depth must be in 0..20")
+
+
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    with pytest.raises(SystemExit) as info:
+        run(["volume", "--kappa", "2", "--output", str(target)])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write")
+    assert not target.exists()
+
+
+def test_fncheck_past_float_range_is_domain_error(capsys):
+    code, document = run_json(capsys, ["fncheck", "--point", "1e80,1e80"])
+    assert code == 1
+    assert document["error"]["code"] == "out_of_range"
+    assert document["error"]["details"]["reason"] == "above_range"
+    validate("error", document)
+
+
 def test_classify_geodesic_boundary_level(capsys):
     code, document = run_json(capsys, ["classify", "--triple", "4,4,4"])
     assert code == 0
