@@ -79,6 +79,7 @@ from .volume import (
     derivative_relation_check,
     domain_volume,
     fenchel_nielsen,
+    moduli_from_domain,
     moduli_volume,
     symplectic_consistency,
     volume_polynomials,

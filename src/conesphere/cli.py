@@ -337,7 +337,7 @@ def _cmd_volume(args, config: RunConfig):
     if args.kappa is None:
         raise ValueError("volume needs --kappa or --table")
     result = volume.domain_volume(parse_value(args.kappa))
-    moduli = volume.moduli_volume(parse_value(args.kappa))
+    moduli = volume.moduli_from_domain(result)
     return {
         "kappa": result.kappa,
         "value": result.value,

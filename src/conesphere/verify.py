@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,25 +175,30 @@ def check_inequalities(rng: random.Random) -> CheckResult:
 
 
 def check_volume_anchor() -> CheckResult:
-    """domain volume pi^2/2 within 1e-4 and moduli volume 2*pi^2 within 4e-4 at kappa = 2."""
+    """domain volume pi^2/2 and moduli volume 2*pi^2 at kappa = 2, within 1e-12 relative."""
     base = volume.domain_volume(2.0)
-    quotient = volume.moduli_volume(2.0)
-    gap_base = abs(base.value - math.pi ** 2 / 2.0)
-    gap_mod = abs(quotient.value - 2.0 * math.pi ** 2)
-    ok = gap_base < 1e-4 and gap_mod < 4e-4
+    quotient = volume.moduli_from_domain(base)
+    gap_base = abs(base.value - math.pi ** 2 / 2.0) / (math.pi ** 2 / 2.0)
+    gap_mod = abs(quotient.value - 2.0 * math.pi ** 2) / (2.0 * math.pi ** 2)
+    ok = gap_base < 1e-12 and gap_mod < 1e-12
     return CheckResult("volume_anchor", ok,
-                       f"|domain - pi^2/2| = {gap_base:.3e} (tol 1e-4), "
-                       f"|moduli - 2pi^2| = {gap_mod:.3e} (tol 4e-4)")
+                       f"|domain - pi^2/2| / (pi^2/2) = {gap_base:.3e}, "
+                       f"|moduli - 2pi^2| / (2pi^2) = {gap_mod:.3e} (tol 1e-12)")
 
 
 def check_volume_family() -> CheckResult:
     """Quadrature against the polynomial reference across cone and boundary levels."""
-    worst = 0.0
-    for kappa in (-1.5, -1.0, 0.0, 1.0, 2.5, 3.0):
+    gaps = []
+    # six cone and boundary levels, then both ends of the valid range
+    # (-2, max float] and one level near each end
+    for kappa in (-1.5, -1.0, 0.0, 1.0, 2.5, 3.0,
+                  math.nextafter(-2.0, 0.0), -2.0 + 1e-12, 1e300, sys.float_info.max):
         result = volume.domain_volume(kappa)
-        worst = max(worst, abs(result.value - result.reference))
-    return CheckResult("volume_family", worst < 1e-3,
-                       f"worst |value - reference| = {worst:.3e} (tol 1e-3)")
+        gaps.append(abs(result.value - result.reference) / result.reference)
+    ok = all(gap < 1e-12 for gap in gaps)
+    return CheckResult("volume_family", ok,
+                       f"worst |value - reference| / reference = {max(gaps):.3e} "
+                       f"over {len(gaps)} levels (tol 1e-12)")
 
 
 def _sample_off_hyperbolae(rng: random.Random, margin: float = 0.5) -> ParamTriple:

@@ -15,13 +15,31 @@ twist returned here is half the log-ratio; only |dtau| enters the volume.
 The volume of the involution fundamental domain {a, b, c > 2} at level
 kappa reduces, via u = a - 2, v = b - 2, to the single integral
 
-    integral_0^inf log((v^2 + K v + K) / v^2) / (v + 1) dv,   K = kappa + 2,
+    integral_0^inf log((v^2 + K v + K) / v^2) / (v + 1) dv,   K = kappa + 2.
 
-evaluated by adaptive quadrature.  Its closed form is (4 pi^2 - theta^2)/8
-in the cone case (2 cos(theta/2) = kappa) and (4 pi^2 + l^2)/8 for a
-geodesic boundary, one quarter of the known volume polynomial of the
-four-holed sphere; at kappa = 2 it is pi^2/2 and the moduli-space volume
-(the quotient by the index-4 subgroup) is 2 pi^2.
+In u = log v it is the integral over the real line of L(u) v/(v + 1) with
+L = log((v^2 + K v + K) / v^2): a plateau of height about log K between
+u = log(K)/2 and u = log K, with shoulders of width O(1) and tails that
+decay like |u| e^u below min(0, log(K)/2) and like K e^-u above
+max(0, log K).  The integrand is analytic in the strip |Im u| < pi/2 (the
+zeros of v^2 + K v + K lie at arg v in (pi/2, pi], the pole of v/(v + 1) at
+arg v = pi), so the trapezoid rule with step h on the whole line has error
+O(exp(-pi^2/h)) (Trefethen and Weideman, SIAM Review 56, 2014).  The rule
+here takes h = 1/4, about 7e-18 relative, on
+[min(0, log(K)/2) - 40, max(0, log K) + 40]; the tails cut off beyond
+the padding of 40 are below 4e-16 relative.  The error estimate is the
+difference from the rule on every second node, which is O(exp(-pi^2/2h)),
+about 3e-9 relative, so it overstates the error of the value returned.
+L is formed from r = exp(-|u - log(K)/2|) and sqrt(K), so no exponential
+overflows or underflows: the rule is valid for every kappa in
+(-2, sys.float_info.max], with about 320 nodes at moderate kappa, 393 at
+the first float above -2 and 3,160 at the largest float.
+
+Its closed form is (4 pi^2 - theta^2)/8 in the cone case
+(2 cos(theta/2) = kappa) and (4 pi^2 + l^2)/8 for a geodesic boundary, one
+quarter of the known volume polynomial of the four-holed sphere; at
+kappa = 2 it is pi^2/2 and the moduli-space volume (the quotient by the
+index-4 subgroup) is 2 pi^2.
 """
 
 from __future__ import annotations
@@ -29,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import integrate
+import numpy as np
 
 from .charvar import boundary_data, c_from_level, BoundaryKind, ParamTriple
 from .config import DEFAULT_TOLERANCES
@@ -171,10 +189,17 @@ def darboux_check(a: float, b: float, h: float = 1e-5) -> DarbouxCheck:
 class QuadratureConfig:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    limit: int = 200
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
+
+# trapezoid step in u = log v and the padding beyond the two shoulders of the
+# integrand; the module docstring gives the error argument for both
+_STEP = 0.25
+_PAD = 40.0
+# 1 + e^-u rounds to 1 from u = 37 on, so capping u there leaves v/(v + 1)
+# exact and keeps e^-u from underflowing
+_WEIGHT_CAP = 40.0
 
 
 @dataclass(frozen=True)
@@ -189,13 +214,28 @@ class VolumeResult:
 def _reference_for(kappa: float) -> tuple:
     if abs(kappa - 2.0) <= 1e-12:
         return math.pi ** 2 / 2.0, "pi^2/2"
-    data = boundary_data(kappa)
-    if data.kind is BoundaryKind.GEODESIC_BOUNDARY:
-        ref = (4.0 * math.pi ** 2 + data.length ** 2) / 8.0
+    if kappa > 2.0:
+        length = 2.0 * math.acosh(kappa / 2.0)
+        ref = (4.0 * math.pi ** 2 + length ** 2) / 8.0
         return ref, "(4*pi^2 + l^2)/8, quarter of the four-holed-sphere volume polynomial"
-    theta = data.angle
-    ref = (4.0 * math.pi ** 2 - theta ** 2) / 8.0
+    # 2*pi - theta = 4*phi, so (4 pi^2 - theta^2)/8 = 2 phi (pi - phi) without
+    # the cancellation of 2*pi - theta as kappa -> -2
+    phi = math.asin(math.sqrt(kappa + 2.0) / 2.0)
+    ref = 2.0 * phi * (math.pi - phi)
     return ref, "(4*pi^2 - theta^2)/8, quarter of the four-holed-sphere volume polynomial"
+
+
+def _log_v_integrand(u: np.ndarray, level: float) -> np.ndarray:
+    """L(u) v/(v + 1) at v = e^u, with L = log((v^2 + K v + K) / v^2) and K = level.
+
+    With t = u - log(K)/2, r = e^-|t| and s = sqrt(K), L = 2 max(-t, 0) +
+    log1p(r (s + r)): below the centre that is log(K/v^2) + log1p(v + v^2/K),
+    above it log1p(K/v + K/v^2), and every exponent is at most 0.
+    """
+    t = u - 0.5 * math.log(level)
+    r = np.exp(-np.abs(t))
+    log_ratio = 2.0 * np.maximum(-t, 0.0) + np.log1p(r * (math.sqrt(level) + r))
+    return log_ratio / (1.0 + np.exp(-np.minimum(u, _WEIGHT_CAP)))
 
 
 def domain_volume(kappa: float, quad: QuadratureConfig = DEFAULT_QUADRATURE) -> VolumeResult:
@@ -203,42 +243,42 @@ def domain_volume(kappa: float, quad: QuadratureConfig = DEFAULT_QUADRATURE) -> 
 
     In u = a - 2, v = b - 2 the region is u, v > 0, uv < kappa + 2 and the
     inner integral closes, leaving the logarithmic integrand of the module
-    docstring; the interval splits at v = 1 so the endpoint singularity at 0
-    and the algebraic tail are each handled by the adaptive rule.
+    docstring, summed by the trapezoid rule in log v.  Valid for kappa in
+    (-2, sys.float_info.max]; a non-finite sum, or an error estimate above
+    100 times the requested tolerance, raises QuadratureNotConverged.
     """
     if kappa <= -2.0:
         raise OutOfRange(f"kappa = {kappa!r} <= -2", reason="below_range", kappa=kappa)
+    if not math.isfinite(kappa):
+        raise OutOfRange(f"kappa = {kappa!r} is not finite", reason="not_finite", kappa=kappa)
     level = kappa + 2.0
-
-    def integrand(v: float) -> float:
-        return math.log((v * v + level * v + level) / (v * v)) / (v + 1.0)
-
-    head, head_err = integrate.quad(integrand, 0.0, 1.0,
-                                    epsabs=quad.abs_tol, epsrel=quad.rel_tol,
-                                    limit=quad.limit)
-    tail, tail_err = integrate.quad(integrand, 1.0, math.inf,
-                                    epsabs=quad.abs_tol, epsrel=quad.rel_tol,
-                                    limit=quad.limit)
-    value = head + tail
-    error = head_err + tail_err
-    if error > max(quad.abs_tol, quad.rel_tol * abs(value)) * 100.0:
+    log_level = math.log(level)
+    nodes = np.arange(min(0.0, 0.5 * log_level) - _PAD, max(0.0, log_level) + _PAD, _STEP)
+    values = _log_v_integrand(nodes, level)
+    value = _STEP * float(values.sum())
+    error = abs(value - 2.0 * _STEP * float(values[::2].sum()))
+    if not (math.isfinite(value) and error <= max(quad.abs_tol, quad.rel_tol * abs(value)) * 100.0):
         raise QuadratureNotConverged(
-            f"error estimate {error!r} exceeds the requested tolerance",
+            f"value {value!r} with error estimate {error!r} misses the requested tolerance",
             kappa=kappa, estimate=error,
         )
     reference, source = _reference_for(kappa)
     return VolumeResult(kappa, value, error, reference, source)
 
 
-def moduli_volume(kappa: float, quad: QuadratureConfig = DEFAULT_QUADRATURE) -> VolumeResult:
-    """Volume of the moduli space: four fundamental domains (index-4 subgroup)."""
-    base = domain_volume(kappa, quad)
-    if abs(kappa - 2.0) <= 1e-12:
+def moduli_from_domain(base: VolumeResult) -> VolumeResult:
+    """Volume of the moduli space from the domain volume: four domains (index-4 subgroup)."""
+    if abs(base.kappa - 2.0) <= 1e-12:
         reference, source = 2.0 * math.pi ** 2, "2*pi^2"
     else:
         reference, source = 4.0 * base.reference, base.reference_source.replace("quarter of", "full")
-    return VolumeResult(kappa, 4.0 * base.value, 4.0 * base.abs_error_estimate,
+    return VolumeResult(base.kappa, 4.0 * base.value, 4.0 * base.abs_error_estimate,
                         reference, source)
+
+
+def moduli_volume(kappa: float, quad: QuadratureConfig = DEFAULT_QUADRATURE) -> VolumeResult:
+    """Volume of the moduli space: four fundamental domains (index-4 subgroup)."""
+    return moduli_from_domain(domain_volume(kappa, quad))
 
 
 def volume_polynomials(which: str, args) -> complex:

@@ -1,12 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conesphere import volume
 from conesphere.cli import parse_triple, parse_value, run
 
-SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
+REPO = Path(__file__).resolve().parent.parent
+SCHEMA_DIR = REPO / "docs" / "schemas"
 
 
 def run_json(capsys, argv):
@@ -55,6 +61,52 @@ def test_volume_kappa_two(capsys):
     assert document["reference"] == pytest.approx(math.pi ** 2 / 2.0)
     assert document["source"] == "pi^2/2"
     validate("volume", document)
+
+
+@pytest.mark.parametrize("kappa", ["1e300", "-1.9999999999999998"])
+def test_volume_at_range_edges(capsys, volume_closed_form, kappa):
+    code, document = run_json(capsys, ["volume", f"--kappa={kappa}"])
+    assert code == 0
+    want = volume_closed_form(float(kappa))
+    for key in ("value", "error_estimate", "reference", "moduli_value", "moduli_reference"):
+        assert math.isfinite(document[key])
+    assert abs(document["value"] - want) <= 1e-12 * want
+    assert abs(document["moduli_value"] - 4.0 * want) <= 4e-12 * want
+    validate("volume", document)
+
+
+def test_volume_integrates_once(capsys, monkeypatch):
+    calls = []
+    domain_volume = volume.domain_volume
+    monkeypatch.setattr(volume, "domain_volume",
+                        lambda *args: calls.append(args) or domain_volume(*args))
+    code, document = run_json(capsys, ["volume", "--kappa", "3"])
+    assert code == 0
+    assert len(calls) == 1
+    assert document["moduli_value"] == 4.0 * document["value"]
+
+
+def test_volume_quadrature_failure_is_domain_error(capsys, monkeypatch):
+    monkeypatch.setattr(volume, "_log_v_integrand", lambda u, level: np.full_like(u, math.nan))
+    code, document = run_json(capsys, ["volume", "--kappa", "3"])
+    assert code == 1
+    assert document["error"]["code"] == "quadrature_not_converged"
+    validate("error", document)
+
+
+def test_volume_past_float_range_is_domain_error(capsys):
+    code, document = run_json(capsys, ["volume", "--kappa", "1e309"])
+    assert code == 1
+    assert document["error"]["code"] == "out_of_range"
+    assert document["error"]["details"]["reason"] == "not_finite"
+    validate("error", document)
+
+
+def test_cli_import_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    subprocess.run([sys.executable, "-c",
+                    "import conesphere.cli, sys; assert 'scipy' not in sys.modules"],
+                   env=env, check=True, timeout=120)
 
 
 def test_volume_table(capsys):

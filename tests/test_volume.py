@@ -1,13 +1,18 @@
 import math
+import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conesphere import volume
 from conesphere.charvar import ParamTriple, simple_length
 from conesphere.errors import (
     DegenerateAxis,
     NotHyperbolic,
     OnHyperbola,
     OutOfRange,
+    QuadratureNotConverged,
 )
 from conesphere.volume import (
     QuadratureConfig,
@@ -176,6 +181,53 @@ def test_volume_table_rows():
     assert rows[0]["boundary_measure"] == pytest.approx(math.pi)
     assert rows[1]["boundary_kind"] == "l_delta"
     assert all(row["abs_error"] < 1e-6 for row in rows)
+
+
+# --- the valid range (-2, max float] ----------------------------------------------
+
+EDGE_LEVELS = (math.nextafter(-2.0, 0.0), -2.0 + 1e-15, -2.0 + 1e-12, -1.99,
+               2.0, 1e12, 1e300, sys.float_info.max)
+
+
+def _assert_matches_closed_form(kappa, want):
+    with np.errstate(all="raise"):
+        result = domain_volume(kappa)
+    assert abs(result.value - want) <= 1e-12 * want
+    assert abs(result.reference - want) <= 1e-15 * want
+    assert result.abs_error_estimate <= 1e-8 * want
+
+
+@pytest.mark.parametrize("kappa", EDGE_LEVELS)
+def test_domain_volume_at_range_edges(kappa, volume_closed_form):
+    _assert_matches_closed_form(kappa, volume_closed_form(kappa))
+
+
+@settings(deadline=None)
+@given(st.one_of(st.floats(-15.0, 0.6).map(lambda e: -2.0 + 10.0 ** e),
+                 st.floats(0.0, 308.0).map(lambda e: 10.0 ** e)))
+def test_domain_volume_matches_closed_form_over_range(volume_closed_form, kappa):
+    _assert_matches_closed_form(kappa, volume_closed_form(kappa))
+
+
+@pytest.mark.parametrize("kappa", [math.inf, math.nan])
+def test_domain_volume_rejects_nonfinite_level(kappa):
+    with pytest.raises(OutOfRange) as info:
+        domain_volume(kappa)
+    assert info.value.details["reason"] == "not_finite"
+
+
+@pytest.mark.parametrize("poison", [math.inf, math.nan])
+def test_nonfinite_node_sum_raises(monkeypatch, poison):
+    integrand = volume._log_v_integrand
+
+    def poisoned(u, level):
+        values = integrand(u, level)
+        values[len(values) // 2] = poison
+        return values
+
+    monkeypatch.setattr(volume, "_log_v_integrand", poisoned)
+    with pytest.raises(QuadratureNotConverged):
+        domain_volume(3.0)
 
 
 # --- volume polynomials ---------------------------------------------------------------
