@@ -1,9 +1,11 @@
-"""Shared tolerance record.
+"""Shared tolerance record and the tree depth cap.
 
 All numerical cutoffs in the package default to the value below:
 ``classification`` for deciding discrete class membership (parabolic vs
 hyperbolic, cusp vs cone point).  Relative scaling against the magnitude of
-the operands is applied at the point of use.
+the operands is applied at the point of use.  The depth cap lives here, in
+a module that loads no numpy, so the CLI can state it without importing
+the tree code.
 """
 
 from dataclasses import dataclass
@@ -15,3 +17,5 @@ class Tolerances:
 
 
 DEFAULT_TOLERANCES = Tolerances()
+
+MAX_DEPTH = 20  # orbit tree depth: 2^21 - 1 vertices at 81 B each (about 100 B while a level grows)

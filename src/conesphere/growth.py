@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charvar import GeometricPoint, simple_length
+from .config import MAX_DEPTH
 from .errors import NotGeometric, PivotAtOne
 from .mcg import _POLE_TOL, Involution, reduce_to_domain
 
@@ -55,8 +56,6 @@ _MOVES = tuple(Involution)
 
 # p - 1 <= tol  <=>  log p <= log1p(tol): a pivot at (or below) the pole
 _LOG_POLE = math.log1p(_POLE_TOL)
-
-MAX_DEPTH = 20  # 2^21 - 1 vertices at 81 B each (about 100 B while a level grows)
 
 
 def _pivot_at_one(move: int, lp) -> PivotAtOne:

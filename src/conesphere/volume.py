@@ -47,9 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .charvar import boundary_data, c_from_level, BoundaryKind, ParamTriple
+from .charvar import c_from_level, ParamTriple
 from .config import DEFAULT_TOLERANCES
 from .errors import (
     DegenerateAxis,
@@ -185,18 +183,12 @@ def darboux_check(a: float, b: float, h: float = 1e-5) -> DarbouxCheck:
     return DarbouxCheck(jac, reference, abs(jac - reference) / reference)
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
-
 # trapezoid step in u = log v and the padding beyond the two shoulders of the
 # integrand; the module docstring gives the error argument for both
 _STEP = 0.25
 _PAD = 40.0
+# an error estimate above 100 max(_TOL, _TOL |value|) fails the rule
+_TOL = 1e-10
 # 1 + e^-u rounds to 1 from u = 37 on, so capping u there leaves v/(v + 1)
 # exact and keeps e^-u from underflowing
 _WEIGHT_CAP = 40.0
@@ -211,64 +203,82 @@ class VolumeResult:
     reference_source: str
 
 
-def _reference_for(kappa: float) -> tuple:
-    if abs(kappa - 2.0) <= 1e-12:
-        return math.pi ** 2 / 2.0, "pi^2/2"
+# levels this close to 2 take the cusp reference pi^2/2
+_CUSP_TOL = 1e-12
+
+
+def _boundary_branch(kappa: float) -> tuple:
+    """(boundary kind, boundary measure, reference, reference source) at level kappa.
+
+    One branch for the labels and the closed form: a cusp (theta = 0) within
+    _CUSP_TOL of 2, a geodesic boundary of length l above it, a cone angle
+    theta below it.
+    """
+    if abs(kappa - 2.0) <= _CUSP_TOL:
+        return "theta", 0.0, math.pi ** 2 / 2.0, "pi^2/2"
     if kappa > 2.0:
         length = 2.0 * math.acosh(kappa / 2.0)
         ref = (4.0 * math.pi ** 2 + length ** 2) / 8.0
-        return ref, "(4*pi^2 + l^2)/8, quarter of the four-holed-sphere volume polynomial"
+        return ("l_delta", length, ref,
+                "(4*pi^2 + l^2)/8, quarter of the four-holed-sphere volume polynomial")
     # 2*pi - theta = 4*phi, so (4 pi^2 - theta^2)/8 = 2 phi (pi - phi) without
-    # the cancellation of 2*pi - theta as kappa -> -2
+    # the cancellation of 2*pi - theta as kappa -> -2; theta itself comes from
+    # acos, which has no cancellation as theta -> 0
     phi = math.asin(math.sqrt(kappa + 2.0) / 2.0)
     ref = 2.0 * phi * (math.pi - phi)
-    return ref, "(4*pi^2 - theta^2)/8, quarter of the four-holed-sphere volume polynomial"
+    return ("theta", 2.0 * math.acos(kappa / 2.0), ref,
+            "(4*pi^2 - theta^2)/8, quarter of the four-holed-sphere volume polynomial")
 
 
-def _log_v_integrand(u: np.ndarray, level: float) -> np.ndarray:
+def _log_v_integrand(u, level: float):
     """L(u) v/(v + 1) at v = e^u, with L = log((v^2 + K v + K) / v^2) and K = level.
 
     With t = u - log(K)/2, r = e^-|t| and s = sqrt(K), L = 2 max(-t, 0) +
     log1p(r (s + r)): below the centre that is log(K/v^2) + log1p(v + v^2/K),
     above it log1p(K/v + K/v^2), and every exponent is at most 0.
     """
+    import numpy as np
+
     t = u - 0.5 * math.log(level)
     r = np.exp(-np.abs(t))
     log_ratio = 2.0 * np.maximum(-t, 0.0) + np.log1p(r * (math.sqrt(level) + r))
     return log_ratio / (1.0 + np.exp(-np.minimum(u, _WEIGHT_CAP)))
 
 
-def domain_volume(kappa: float, quad: QuadratureConfig = DEFAULT_QUADRATURE) -> VolumeResult:
+def domain_volume(kappa: float) -> VolumeResult:
     """Symplectic volume of the fundamental domain {a, b, c > 2} at level kappa.
 
     In u = a - 2, v = b - 2 the region is u, v > 0, uv < kappa + 2 and the
     inner integral closes, leaving the logarithmic integrand of the module
     docstring, summed by the trapezoid rule in log v.  Valid for kappa in
     (-2, sys.float_info.max]; a non-finite sum, or an error estimate above
-    100 times the requested tolerance, raises QuadratureNotConverged.
+    100 max(1e-10, 1e-10 |value|), raises QuadratureNotConverged.
     """
     if kappa <= -2.0:
         raise OutOfRange(f"kappa = {kappa!r} <= -2", reason="below_range", kappa=kappa)
     if not math.isfinite(kappa):
         raise OutOfRange(f"kappa = {kappa!r} is not finite", reason="not_finite", kappa=kappa)
+    # numpy loads with the first quadrature, so requests that never integrate skip it
+    import numpy as np
+
     level = kappa + 2.0
     log_level = math.log(level)
     nodes = np.arange(min(0.0, 0.5 * log_level) - _PAD, max(0.0, log_level) + _PAD, _STEP)
     values = _log_v_integrand(nodes, level)
     value = _STEP * float(values.sum())
     error = abs(value - 2.0 * _STEP * float(values[::2].sum()))
-    if not (math.isfinite(value) and error <= max(quad.abs_tol, quad.rel_tol * abs(value)) * 100.0):
+    if not (math.isfinite(value) and error <= max(_TOL, _TOL * abs(value)) * 100.0):
         raise QuadratureNotConverged(
-            f"value {value!r} with error estimate {error!r} misses the requested tolerance",
+            f"value {value!r} with error estimate {error!r} misses the tolerance",
             kappa=kappa, estimate=error,
         )
-    reference, source = _reference_for(kappa)
+    reference, source = _boundary_branch(kappa)[2:]
     return VolumeResult(kappa, value, error, reference, source)
 
 
 def moduli_from_domain(base: VolumeResult) -> VolumeResult:
     """Volume of the moduli space from the domain volume: four domains (index-4 subgroup)."""
-    if abs(base.kappa - 2.0) <= 1e-12:
+    if abs(base.kappa - 2.0) <= _CUSP_TOL:
         reference, source = 2.0 * math.pi ** 2, "2*pi^2"
     else:
         reference, source = 4.0 * base.reference, base.reference_source.replace("quarter of", "full")
@@ -276,9 +286,9 @@ def moduli_from_domain(base: VolumeResult) -> VolumeResult:
                         reference, source)
 
 
-def moduli_volume(kappa: float, quad: QuadratureConfig = DEFAULT_QUADRATURE) -> VolumeResult:
+def moduli_volume(kappa: float) -> VolumeResult:
     """Volume of the moduli space: four fundamental domains (index-4 subgroup)."""
-    return moduli_from_domain(domain_volume(kappa, quad))
+    return moduli_from_domain(domain_volume(kappa))
 
 
 def volume_polynomials(which: str, args) -> complex:
@@ -334,17 +344,16 @@ def derivative_relation_check(l2_samples, rel_tol: float = 1e-9) -> DerivativeRe
     return DerivativeRelation(tuple(ratios), constant, first)
 
 
-def volume_table(kappas, quad: QuadratureConfig = DEFAULT_QUADRATURE) -> list:
+def volume_table(kappas) -> list:
     """Rows (kappa, boundary measure, value, reference, abs error) for export.
 
-    The boundary measure is theta for the cone range and l_delta above it.
+    The boundary measure is theta for the cone range and the cusp, l_delta
+    above them, on the same branch as the reference.
     """
     rows = []
     for kappa in kappas:
-        result = domain_volume(kappa, quad)
-        data = boundary_data(kappa)
-        measure = data.angle if data.kind is not BoundaryKind.GEODESIC_BOUNDARY else data.length
-        kind = "theta" if data.kind is not BoundaryKind.GEODESIC_BOUNDARY else "l_delta"
+        result = domain_volume(kappa)
+        kind, measure = _boundary_branch(kappa)[:2]
         rows.append({
             "kappa": kappa,
             "boundary_kind": kind,

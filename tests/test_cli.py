@@ -109,6 +109,38 @@ def test_cli_import_loads_no_scipy():
                    env=env, check=True, timeout=120)
 
 
+_NO_NUMPY_REQUESTS = """
+import contextlib, io, sys
+import conesphere
+assert not [name for name in sys.modules if name.startswith("conesphere.")], sys.modules
+from conesphere import cli
+requests = [
+    (["classify", "--triple", "3,3,3"], 0),
+    (["reduce", "--triple", "6,1.5,6"], 0),
+    (["induced", "--auto", "phi_beta", "--triple", "3,3,3"], 0),
+    (["polygon", "--triple", "2.5,2.5,2.5"], 0),
+    (["fncheck", "--point", "3,3"], 0),
+    (["classify", "--triple=2,2,2"], 1),
+    (["volume", "--kappa=-5"], 1),
+    (["volume"], 2),
+]
+for argv, expected in requests:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code == expected, (argv, code)
+assert "numpy" not in sys.modules, "numpy loaded"
+"""
+
+
+def test_requests_without_quadrature_or_tree_load_no_numpy():
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    subprocess.run([sys.executable, "-c", _NO_NUMPY_REQUESTS],
+                   env=env, check=True, timeout=120)
+
+
 def test_volume_table(capsys):
     code, document = run_json(capsys, ["volume", "--table=-1,0,2.5"])
     assert code == 0

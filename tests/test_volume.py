@@ -15,7 +15,6 @@ from conesphere.errors import (
     QuadratureNotConverged,
 )
 from conesphere.volume import (
-    QuadratureConfig,
     axis_endpoints,
     darboux_check,
     derivative_relation_check,
@@ -161,10 +160,20 @@ def test_domain_volume_monotone_in_kappa():
     assert values[0] < values[-1]
 
 
-def test_quadrature_convergence_contract():
-    loose = domain_volume(1.0, QuadratureConfig(abs_tol=1e-6, rel_tol=1e-6))
-    tight = domain_volume(1.0, QuadratureConfig(abs_tol=5e-7, rel_tol=5e-7))
-    assert abs(loose.value - tight.value) <= max(loose.abs_error_estimate, 1e-12)
+@pytest.mark.parametrize("value, converged", [(2e-8, False), (0.5e-8, True)])
+def test_quadrature_gate(monkeypatch, value, converged):
+    # zero on the coarse (even) nodes, so the estimate |T(h) - T(2h)| is the value
+    # itself; for values below 1 the gate is 100 * 1e-10 = 1e-8
+    def odd_nodes_only(u, level):
+        odd = np.arange(u.size) % 2 == 1
+        return np.where(odd, value / (volume._STEP * odd.sum()), 0.0)
+
+    monkeypatch.setattr(volume, "_log_v_integrand", odd_nodes_only)
+    if converged:
+        assert domain_volume(1.0).abs_error_estimate == pytest.approx(value, rel=1e-12)
+    else:
+        with pytest.raises(QuadratureNotConverged):
+            domain_volume(1.0)
 
 
 def test_moduli_volume_is_four_domains():
@@ -181,6 +190,22 @@ def test_volume_table_rows():
     assert rows[0]["boundary_measure"] == pytest.approx(math.pi)
     assert rows[1]["boundary_kind"] == "l_delta"
     assert all(row["abs_error"] < 1e-6 for row in rows)
+
+
+@pytest.mark.parametrize("kappa, kind", [
+    (2.0 + 1e-10, "l_delta"), (2.0 - 1e-10, "theta"), (2.0, "theta"), (-2.0 + 1e-13, "theta"),
+])
+def test_volume_table_labels_follow_reference_branch(kappa, kind, volume_closed_form):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        k = mpmath.mpf(kappa)
+        measure = float(2 * (mpmath.acosh(k / 2) if k > 2 else mpmath.acos(k / 2)))
+    row, = volume_table([kappa])
+    assert row["boundary_kind"] == kind
+    assert row["boundary_measure"] == pytest.approx(measure, rel=1e-14, abs=0.0)
+    formula = {"l_delta": "(4*pi^2 + l^2)/8", "theta": "(4*pi^2 - theta^2)/8"}[kind]
+    assert row["reference_source"].startswith("pi^2/2" if kappa == 2.0 else formula)
+    assert row["reference"] == pytest.approx(volume_closed_form(kappa), rel=1e-15)
 
 
 # --- the valid range (-2, max float] ----------------------------------------------
