@@ -24,9 +24,11 @@ import re
 import sys
 from dataclasses import asdict, dataclass, replace
 
-from . import charvar, mcg
+# importing every layer here is cheap: growth, verify and volume load numpy
+# only inside the functions that compute with it
+from . import charvar, growth, mcg, verify, volume
 from .charvar import GeometricPoint, ParamTriple
-from .config import DEFAULT_TOLERANCES, MAX_DEPTH, Tolerances
+from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import ConesphereError, NotGeometric, SingularPoint
 from .mobius import is_infinite
 
@@ -210,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="orbit tree growth report and optional length census")
     p.add_argument("--root", required=True)
     p.add_argument("--depth", type=int, default=10,
-                   help=f"tree depth, 0 to {MAX_DEPTH}")
+                   help=f"tree depth, 0 to {growth.MAX_DEPTH}")
     p.add_argument("--census", type=float, default=None,
                    help="census bound on log(pair product)")
     p.add_argument("--start-edge", default="ab,bc")
@@ -312,8 +314,6 @@ def _cmd_induced(args, config: RunConfig):
 
 
 def _cmd_tree(args, config: RunConfig):
-    from . import growth
-
     triple = parse_triple(args.root)
     point = GeometricPoint(triple)
     edge = tuple(part.strip() for part in args.start_edge.split(","))
@@ -333,8 +333,6 @@ def _cmd_tree(args, config: RunConfig):
 
 
 def _cmd_volume(args, config: RunConfig):
-    from . import volume
-
     if args.table is not None:
         kappas = [parse_value(part) for part in args.table.split(",")]
         return {"rows": volume.volume_table(kappas)}
@@ -354,8 +352,6 @@ def _cmd_volume(args, config: RunConfig):
 
 
 def _cmd_fncheck(args, config: RunConfig):
-    from . import volume
-
     a, b = parse_pair(args.point)
     coords = volume.fenchel_nielsen(a, b, config.tolerances.classification)
     darboux = volume.darboux_check(a, b, args.step)
@@ -387,8 +383,6 @@ def _cmd_polygon(args, config: RunConfig):
 
 
 def _cmd_verify(args, config: RunConfig):
-    from . import verify
-
     names = None if args.suite == "all" else [part.strip() for part in args.suite.split(",")]
     results = verify.run_suite(names, seed=config.seed)
     return {

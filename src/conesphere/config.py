@@ -1,11 +1,9 @@
-"""Shared tolerance record and the tree depth cap.
+"""Shared tolerance record.
 
 All numerical cutoffs in the package default to the value below:
 ``classification`` for deciding discrete class membership (parabolic vs
 hyperbolic, cusp vs cone point).  Relative scaling against the magnitude of
-the operands is applied at the point of use.  The depth cap lives here, in
-a module that loads no numpy, so the CLI can state it without importing
-the tree code.
+the operands is applied at the point of use.
 """
 
 from dataclasses import dataclass
@@ -17,5 +15,3 @@ class Tolerances:
 
 
 DEFAULT_TOLERANCES = Tolerances()
-
-MAX_DEPTH = 20  # orbit tree depth: 2^21 - 1 vertices at 81 B each (about 100 B while a level grows)

@@ -37,13 +37,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .charvar import GeometricPoint, simple_length
-from .config import MAX_DEPTH
 from .errors import NotGeometric, PivotAtOne
 from .mcg import _POLE_TOL, Involution, reduce_to_domain
+
+# numpy is imported inside the functions that compute with it, so importing
+# this module (as every CLI request does) leaves numpy unloaded
+if TYPE_CHECKING:
+    import numpy as np
 
 LOG4 = math.log(4.0)
 
@@ -56,6 +59,8 @@ _MOVES = tuple(Involution)
 
 # p - 1 <= tol  <=>  log p <= log1p(tol): a pivot at (or below) the pole
 _LOG_POLE = math.log1p(_POLE_TOL)
+
+MAX_DEPTH = 20  # 2^21 - 1 vertices at 81 B each (about 100 B while a level grows)
 
 
 def _pivot_at_one(move: int, lp) -> PivotAtOne:
@@ -87,6 +92,8 @@ class TreeLevel:
 def _grow(level: TreeLevel) -> TreeLevel:
     """The next level: each vertex's two moves in the order Ia < Ib < Ic,
     leaving out the move that created it."""
+    import numpy as np
+
     excluded = (level.new_slot + 2) % 3
     moves = np.empty(2 * len(excluded), dtype=np.int8)
     moves[0::2] = np.where(excluded == 0, 1, 0)
@@ -182,6 +189,8 @@ def expand_tree(root: GeometricPoint, start_edge=("ab", "bc"), depth: int = 10) 
     F_e(new) = F_e(x) + F_e(y) down the tree.  ``depth`` runs from 0 to
     MAX_DEPTH; level k holds 2^k vertices.
     """
+    import numpy as np
+
     if not 0 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must be in 0..{MAX_DEPTH}, got {depth}")
     edge = frozenset(start_edge)
@@ -239,6 +248,8 @@ def bowditch_check(tree: TreeNode, mode: str = "normalized_Fe",
     non-finite value fails both inequalities.  ``tree`` is the root
     returned by expand_tree.
     """
+    import numpy as np
+
     if mode not in ("normalized_Fe", "value_Fe"):
         raise ValueError(f"unknown mode {mode!r}")
     if tree.level != 0:
@@ -291,6 +302,8 @@ def length_census(root: GeometricPoint, bound: float,
     a row; rows come back sorted.  The walk runs in log coordinates, so any
     finite bound is valid.
     """
+    import numpy as np
+
     if bound <= LOG4:
         raise ValueError(f"bound must exceed log 4, got {bound!r}")
     a, b, c = reduce_to_domain(root).end.as_tuple()

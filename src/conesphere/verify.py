@@ -18,8 +18,6 @@ import random
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import charvar, growth, mcg, volume
 from .charvar import GeometricPoint, ParamTriple, kappa_of
 from .mcg import Involution
@@ -246,6 +244,8 @@ def check_fibonacci_growth(rng: random.Random) -> CheckResult:
     The transfer gap is reduced over the level arrays; a vertex holding a
     non-finite f-value or defect fails the check.
     """
+    import numpy as np
+
     roots = [GeometricPoint.from_coords(3.0, 3.0, 3.0)]
     roots.extend(sample_domain_point(rng) for _ in range(10))
     worst_transfer = 0.0

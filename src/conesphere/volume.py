@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .charvar import c_from_level, ParamTriple
+from .charvar import boundary_data, c_from_level, BoundaryKind, ParamTriple
 from .config import DEFAULT_TOLERANCES
 from .errors import (
     DegenerateAxis,
@@ -203,31 +203,22 @@ class VolumeResult:
     reference_source: str
 
 
-# levels this close to 2 take the cusp reference pi^2/2
+# levels this close to 2 are a cusp: the reference pi^2/2, theta = 0 in the table
 _CUSP_TOL = 1e-12
 
 
-def _boundary_branch(kappa: float) -> tuple:
-    """(boundary kind, boundary measure, reference, reference source) at level kappa.
-
-    One branch for the labels and the closed form: a cusp (theta = 0) within
-    _CUSP_TOL of 2, a geodesic boundary of length l above it, a cone angle
-    theta below it.
-    """
+def _reference_for(kappa: float) -> tuple:
     if abs(kappa - 2.0) <= _CUSP_TOL:
-        return "theta", 0.0, math.pi ** 2 / 2.0, "pi^2/2"
+        return math.pi ** 2 / 2.0, "pi^2/2"
     if kappa > 2.0:
         length = 2.0 * math.acosh(kappa / 2.0)
         ref = (4.0 * math.pi ** 2 + length ** 2) / 8.0
-        return ("l_delta", length, ref,
-                "(4*pi^2 + l^2)/8, quarter of the four-holed-sphere volume polynomial")
+        return ref, "(4*pi^2 + l^2)/8, quarter of the four-holed-sphere volume polynomial"
     # 2*pi - theta = 4*phi, so (4 pi^2 - theta^2)/8 = 2 phi (pi - phi) without
-    # the cancellation of 2*pi - theta as kappa -> -2; theta itself comes from
-    # acos, which has no cancellation as theta -> 0
+    # the cancellation of 2*pi - theta as kappa -> -2
     phi = math.asin(math.sqrt(kappa + 2.0) / 2.0)
     ref = 2.0 * phi * (math.pi - phi)
-    return ("theta", 2.0 * math.acos(kappa / 2.0), ref,
-            "(4*pi^2 - theta^2)/8, quarter of the four-holed-sphere volume polynomial")
+    return ref, "(4*pi^2 - theta^2)/8, quarter of the four-holed-sphere volume polynomial"
 
 
 def _log_v_integrand(u, level: float):
@@ -272,7 +263,7 @@ def domain_volume(kappa: float) -> VolumeResult:
             f"value {value!r} with error estimate {error!r} misses the tolerance",
             kappa=kappa, estimate=error,
         )
-    reference, source = _boundary_branch(kappa)[2:]
+    reference, source = _reference_for(kappa)
     return VolumeResult(kappa, value, error, reference, source)
 
 
@@ -353,7 +344,9 @@ def volume_table(kappas) -> list:
     rows = []
     for kappa in kappas:
         result = domain_volume(kappa)
-        kind, measure = _boundary_branch(kappa)[:2]
+        data = boundary_data(kappa, _CUSP_TOL)
+        measure = data.angle if data.kind is not BoundaryKind.GEODESIC_BOUNDARY else data.length
+        kind = "theta" if data.kind is not BoundaryKind.GEODESIC_BOUNDARY else "l_delta"
         rows.append({
             "kappa": kappa,
             "boundary_kind": kind,

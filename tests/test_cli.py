@@ -114,6 +114,9 @@ import contextlib, io, sys
 import conesphere
 assert not [name for name in sys.modules if name.startswith("conesphere.")], sys.modules
 from conesphere import cli
+# the traced benchmark times each layer's import through `import conesphere.cli`
+layers = ("charvar", "growth", "mcg", "mobius", "verify", "volume")
+assert all(f"conesphere.{name}" in sys.modules for name in layers), sys.modules
 requests = [
     (["classify", "--triple", "3,3,3"], 0),
     (["reduce", "--triple", "6,1.5,6"], 0),
