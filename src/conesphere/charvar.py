@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .config import DEFAULT_TOLERANCES
@@ -54,8 +54,8 @@ from .mobius import (
 
 
 def kappa_of(a: float, b: float, c: float) -> float:
-    """Trace of the boundary holonomy CBA: 2 + abc - ab - bc - ac."""
-    return 2.0 + a * b * c - a * b - b * c - a * c
+    """Trace of the boundary holonomy CBA: 2 + abc - ab - bc - ac, exact on Fractions."""
+    return 2 + a * b * c - a * b - b * c - a * c
 
 
 @dataclass(frozen=True)
@@ -65,16 +65,10 @@ class ParamTriple:
     a: float
     b: float
     c: float
-    kappa: float = None  # type: ignore[assignment]
+    kappa: float = field(init=False)
 
     def __post_init__(self):
-        level = kappa_of(self.a, self.b, self.c)
-        if self.kappa is None:
-            object.__setattr__(self, "kappa", level)
-        else:
-            scale = max(1.0, abs(self.a * self.b * self.c), abs(level))
-            if abs(self.kappa - level) > 1e-12 * scale:
-                raise ValueError(f"kappa {self.kappa!r} does not match the triple (got {level!r})")
+        object.__setattr__(self, "kappa", kappa_of(self.a, self.b, self.c))
 
     def as_tuple(self) -> tuple:
         return (self.a, self.b, self.c)
@@ -230,35 +224,6 @@ def boundary_data(kappa: float, tol: float = DEFAULT_TOLERANCES.classification) 
 
 
 @dataclass(frozen=True)
-class CuspGeometry:
-    """Horoball areas at the three cusps and decorated edge lengths."""
-
-    prong_areas: dict
-    lambda_lengths: dict
-
-
-def cusp_geometry(p: ParamTriple) -> CuspGeometry:
-    """Prong areas 1/a, 1/b, 1/c at the cusps 0, 1, inf and lambda-lengths.
-
-    The ideal triangle (0, 1, inf) meets the unit-area horoball at each cusp
-    in a prong of area 1/a, 1/b, 1/c respectively.  The edge (0, inf) runs
-    log(ac) between the two horoballs; the midpoint argument assigns log(ab)
-    and log(bc) to the edges (0, 1) and (1, inf).
-    """
-    a, b, c = p.as_tuple()
-    if not (a > 0 and b > 0 and c > 0):
-        raise NotGeometric(f"cusp geometry needs positive coordinates, got {p.as_tuple()}")
-    return CuspGeometry(
-        prong_areas={"0": 1.0 / a, "1": 1.0 / b, "inf": 1.0 / c},
-        lambda_lengths={
-            "0-inf": math.log(a * c),
-            "0-1": math.log(a * b),
-            "1-inf": math.log(b * c),
-        },
-    )
-
-
-@dataclass(frozen=True)
 class InequalityReport:
     products: tuple
     collar_lhs: float
@@ -272,22 +237,17 @@ def inequality_report(p: GeometricPoint) -> InequalityReport:
     """Collar-type certificates at a geometric point.
 
     collar: (ab - 4)(bc - 4) >= 4*(kappa + 2), with equality on the slice
-    b = 2.  conecollar: sinh(l_ab/4)*sinh(l_bc/4) >= cos(theta/4) for
-    |kappa| < 2; for kappa >= 2 the right side continues to cosh(l_delta/4)
-    (value 1 at the cusp), which keeps the two certificates equivalent.
+    b = 2.  conecollar: sinh(l_ab/4)*sinh(l_bc/4) >= cos(theta/4), the
+    square root of the collar certificate divided by 4, since
+    sinh^2(l_ab/4) = (ab - 4)/4 and cos^2(theta/4) = (kappa + 2)/4.  For
+    kappa >= 2 the right side is cosh(l_delta/4) (value 1 at the cusp).
     """
     a, b, c = p.as_tuple()
-    kappa = p.kappa
     products = (a * b, b * c, c * a)
     collar_lhs = (products[0] - 4.0) * (products[1] - 4.0)
-    collar_rhs = 4.0 * (kappa + 2.0)
-    l_ab = simple_length(products[0])
-    l_bc = simple_length(products[1])
-    conecollar_lhs = math.sinh(l_ab / 4.0) * math.sinh(l_bc / 4.0)
-    if kappa < 2.0:
-        conecollar_rhs = math.cos(2.0 * math.acos(kappa / 2.0) / 4.0)
-    else:
-        conecollar_rhs = math.cosh(2.0 * math.acosh(kappa / 2.0) / 4.0)
+    collar_rhs = 4.0 * (p.kappa + 2.0)
+    conecollar_lhs = math.sqrt(collar_lhs) / 4.0
+    conecollar_rhs = math.sqrt(collar_rhs) / 4.0
     all_pass = (
         collar_lhs >= collar_rhs - 1e-12
         and conecollar_lhs >= conecollar_rhs - 1e-12

@@ -164,18 +164,8 @@ class TreeNode:
         return tuple(self.levels[self.level].fe_norm[self.index].tolist())
 
     @property
-    def fe_value(self) -> tuple:
-        return tuple(self.levels[self.level].fe_value[self.index].tolist())
-
-    @property
     def Fe(self) -> float:
         return self.fe_norm[self._slot]
-
-    def f_new(self) -> float:
-        return self.fvals[self._slot]
-
-    def flank_slots(self) -> tuple:
-        return tuple(slot for slot in SLOTS if slot != self.new_slot)
 
 
 def expand_tree(root: GeometricPoint, start_edge=("ab", "bc"), depth: int = 10) -> TreeNode:
@@ -213,15 +203,6 @@ def expand_tree(root: GeometricPoint, start_edge=("ab", "bc"), depth: int = 10) 
         level = _grow(level)
         levels.append(level)
     return TreeNode(tuple(levels), 0, 0)
-
-
-def iter_nodes(tree: TreeNode):
-    """Every vertex view below ``tree``, depth first."""
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(node.children)
 
 
 @dataclass(frozen=True)

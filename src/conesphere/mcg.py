@@ -49,17 +49,18 @@ class Involution(Enum):
 
 
 PIVOT_INDEX = {Involution.IA: 0, Involution.IB: 1, Involution.IC: 2}
+_BY_PIVOT_INDEX = tuple(PIVOT_INDEX)  # the involution that pivots on coordinate k
 
 _POLE_TOL = DEFAULT_TOLERANCES.classification
 
 
 def apply_involution(inv: Involution, p: ParamTriple) -> ParamTriple:
-    """Apply one involution; the pivot coordinate must not equal 1 (the pole)."""
+    """Apply one involution, exactly on Fractions; the pivot must not be 1 (the pole)."""
     a, b, c = p.as_tuple()
     pivot = (a, b, c)[PIVOT_INDEX[inv]]
-    if abs(pivot - 1.0) <= _POLE_TOL:
+    m = pivot - 1
+    if abs(m) <= _POLE_TOL:
         raise PivotAtOne(f"{inv.value} pivot is 1 at {p.as_tuple()}", involution=inv.value)
-    m = pivot - 1.0
     if inv is Involution.IA:
         return ParamTriple(a / m, b * m, c * m)
     if inv is Involution.IB:
@@ -126,9 +127,9 @@ def energy(p: ParamTriple) -> float:
 def reduce_to_domain(p: GeometricPoint, max_steps: int = 500) -> ReductionTrace:
     """Greedy energy descent into the closure of Delta.
 
-    While some coordinate is below 2, apply the involution whose pivot lies
-    in (1, 2) and minimizes the resulting energy E = abc (the factor is
-    pivot - 1 < 1, so the smallest pivot wins); ties break in the order
+    While some coordinate is below 2, apply the involution at the smallest
+    pivot in (1, 2): it multiplies the energy E = abc by pivot - 1 < 1, so
+    it minimizes the resulting energy; equal pivots break in the order
     Ia < Ib < Ic.  Coordinates exactly equal to 2 are terminal.  Replaying
     the recorded word on the start point reproduces the endpoint.
     """
@@ -142,18 +143,14 @@ def reduce_to_domain(p: GeometricPoint, max_steps: int = 500) -> ReductionTrace:
                 f"no fundamental-domain representative within {max_steps} steps",
                 start=p.as_tuple(), reached=current.as_tuple(),
             )
-        best = None
-        for inv in (Involution.IA, Involution.IB, Involution.IC):
-            pivot = current.as_tuple()[PIVOT_INDEX[inv]]
-            if 1.0 < pivot < 2.0:
-                candidate = apply_involution(inv, current)
-                if best is None or energy(candidate) < energy(best[1]):
-                    best = (inv, candidate)
-        if best is None:
+        coords = current.as_tuple()
+        pivot = min((x for x in coords if 1.0 < x < 2.0), default=None)
+        if pivot is None:
             raise NotGeometric(
-                f"no pivot in (1, 2) at {current.as_tuple()}; point left the geometric component"
+                f"no pivot in (1, 2) at {coords}; point left the geometric component"
             )
-        inv, current = best
+        inv = _BY_PIVOT_INDEX[coords.index(pivot)]
+        current = apply_involution(inv, current)
         moves.append(inv)
         energies.append(energy(current))
         steps += 1
@@ -184,12 +181,6 @@ class FreeWord:
 
     def __post_init__(self):
         object.__setattr__(self, "letters", _reduce_letters(self.letters))
-
-    def __mul__(self, other: "FreeWord") -> "FreeWord":
-        return FreeWord(self.letters + other.letters)
-
-    def inverse(self) -> "FreeWord":
-        return FreeWord(self.letters.swapcase()[::-1])
 
     def conjugator_and_core(self) -> tuple:
         """Split w g^+-1 w^-1 into (w, g^+-1); raises if not of that shape."""

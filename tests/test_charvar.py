@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +13,6 @@ from conesphere.charvar import (
     c_from_level,
     cba_fixed_point,
     component_of,
-    cusp_geometry,
     inequality_report,
     kappa_of,
     matrices_from_triple,
@@ -137,20 +138,6 @@ def test_boundary_data_degenerate_limit():
     assert nearly.angle == pytest.approx(2.0 * math.pi, abs=1e-2)
 
 
-# --- cusp geometry -----------------------------------------------------------
-
-def test_cusp_geometry_regular_point():
-    geo = cusp_geometry(ParamTriple(3, 3, 3))
-    assert geo.prong_areas == {"0": pytest.approx(1 / 3), "1": pytest.approx(1 / 3),
-                               "inf": pytest.approx(1 / 3)}
-    assert geo.lambda_lengths["0-inf"] == pytest.approx(math.log(9.0))
-
-
-def test_cusp_geometry_unit_horoball_and_222():
-    assert cusp_geometry(ParamTriple(1.0, 2.0, 2.0)).prong_areas["0"] == 1.0
-    assert cusp_geometry(ParamTriple(2, 2, 2)).lambda_lengths["0-inf"] == pytest.approx(math.log(4.0))
-
-
 # --- geometric component membership ------------------------------------------
 
 def test_geometric_point_rejects_wrong_branch():
@@ -188,8 +175,22 @@ def test_inequality_report_regular_point():
     report = inequality_report(GeometricPoint.from_coords(3, 3, 3))
     assert report.collar_lhs == pytest.approx(25.0)
     assert report.collar_rhs == pytest.approx(16.0)
-    assert report.conecollar_rhs == pytest.approx(1.0)  # cusp value at kappa = 2
+    assert report.conecollar_lhs == 1.25  # sqrt(25) / 4
+    assert report.conecollar_rhs == 1.0  # cusp value at kappa = 2
     assert report.all_pass
+
+
+def test_conecollar_rhs_is_exact_across_levels():
+    # cos(theta/4) = sqrt(K)/2 with K = kappa + 2, from K = 1e-12 (theta near
+    # 2*pi) through the cusp to long geodesic boundaries
+    for exponent in range(-12, 7):
+        point = GeometricPoint.from_coords(3.0, 3.0, (10.0 ** exponent + 5.0) / 3.0)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            level = Fraction(point.kappa) + 2
+            exact = (Decimal(level.numerator) / Decimal(level.denominator)).sqrt() / 2
+        got = inequality_report(point).conecollar_rhs
+        assert abs(Decimal(got) - exact) <= 2 * Decimal(math.ulp(float(exact)))
 
 
 def test_inequality_equality_on_b2_slice():

@@ -13,7 +13,6 @@ from conesphere.growth import (
     TreeNode,
     bowditch_check,
     expand_tree,
-    iter_nodes,
     length_census,
 )
 from conesphere.mcg import PIVOT_INDEX, Involution, apply_involution
@@ -83,11 +82,12 @@ def test_depth_zero_tree():
 
 
 def test_exact_transfer_identity_at_first_step():
-    tree = expand_tree(REGULAR, ("bc", "ca"), 1)
-    child = next(c for c in tree.children if c.new_slot == "ca")
+    level = expand_tree(REGULAR, ("bc", "ca"), 1).levels[1]
+    ca = SLOTS.index("ca")
+    child = level.new_slot.tolist().index(ca)
     # log 36 = log 9 + log 9 - 2 log(3/2)
-    assert child.defect == pytest.approx(2.0 * math.log(1.5), rel=1e-14)
-    assert child.f_new() == pytest.approx(
+    assert level.defect[child] == pytest.approx(2.0 * math.log(1.5), rel=1e-14)
+    assert level.fvals()[child, ca] == pytest.approx(
         math.log(9.0) + math.log(9.0) - 2.0 * math.log(1.5), rel=1e-14
     )
 
@@ -95,12 +95,12 @@ def test_exact_transfer_identity_at_first_step():
 def test_transfer_identity_everywhere(domain_points):
     for point in domain_points(3):
         tree = expand_tree(point, ("ab", "bc"), 8)
-        for node in iter_nodes(tree):
-            if node.defect is None:
-                continue
-            flanks = [node.fvals[SLOTS.index(s)] for s in node.flank_slots()]
-            expected = flanks[0] + flanks[1] - node.defect
-            assert abs(node.f_new() - expected) <= 1e-12 * max(1.0, abs(expected))
+        for level in tree.levels[1:]:
+            fvals, slot = level.fvals(), level.new_slot
+            rows = np.arange(len(slot))
+            expected = fvals[rows, (slot + 1) % 3] + fvals[rows, (slot + 2) % 3] - level.defect
+            gap = np.abs(fvals[rows, slot] - expected)
+            assert np.all(gap <= 1e-12 * np.maximum(1.0, np.abs(expected)))
 
 
 def test_bowditch_regular_tree():
