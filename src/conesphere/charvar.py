@@ -285,6 +285,16 @@ def cba_fixed_point(p: ParamTriple) -> CbaFixedPoint:
     return CbaFixedPoint(cba, point, flag)
 
 
+# about 100x the worst angle_sum_gap, 1.3e-15, over 25,000 sampled cone points
+ANGLE_SUM_TOL = 1e-13
+
+
+def angle_sum_gap(p: GeometricPoint, angle_sum: float) -> float:
+    """|2 cos(angle_sum/2) - kappa| / abc: the gap to theta read in kappa, which is
+    known to the rounding of abc, as theta is ill-conditioned near 0 and 2 pi."""
+    return abs(2.0 * math.cos(angle_sum / 2.0) - p.kappa) / (p.a * p.b * p.c)
+
+
 @dataclass(frozen=True)
 class PolygonCertificate:
     vertices: tuple       # 0, A(z), 1, C^-1(z), inf, z in cyclic order

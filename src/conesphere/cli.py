@@ -378,7 +378,8 @@ def _cmd_polygon(args, config: RunConfig):
         "convex": certificate.convex,
         "side_pairings_ok": certificate.side_pairings_ok,
         "angle_sum": certificate.angle_sum,
-        "angle_sum_matches_theta": abs(certificate.angle_sum - theta) <= 1e-6,
+        "angle_sum_matches_theta": (charvar.angle_sum_gap(point, certificate.angle_sum)
+                                    <= charvar.ANGLE_SUM_TOL),
     }
 
 

@@ -40,6 +40,12 @@ Its closed form is (4 pi^2 - theta^2)/8 in the cone case
 quarter of the known volume polynomial of the four-holed sphere; at
 kappa = 2 it is pi^2/2 and the moduli-space volume (the quotient by the
 index-4 subgroup) is 2 pi^2.
+
+dV/dK sums v/(v^2 + K v + K) = dL/dK v/(v + 1) on the same nodes: same strip,
+and e^-d decay at distance d outside [min(0, log(K)/2), max(0, log K)].  By
+dK/dtheta = -sin(theta/2) and dK/dl = sinh(l/2), dV/dtheta = -theta/4, dV/dl =
+l/4, and V/sqrt(K) -> pi as theta -> 2 pi, Do and Norbury's dV/dL = 2 pi i V_{0,3}
+at L = 2 pi i in the quarter scale; verify.check_derivative_relation tests them.
 """
 
 from __future__ import annotations
@@ -236,6 +242,27 @@ def _log_v_integrand(u, level: float):
     return log_ratio / (1.0 + np.exp(-np.minimum(u, _WEIGHT_CAP)))
 
 
+def _slope_integrand(u, level: float):
+    """v/(v^2 + K v + K) = r / (s (1 + r^2 + s r)), with the t, r, s of _log_v_integrand."""
+    import numpy as np
+
+    s = math.sqrt(level)
+    r = np.exp(-np.abs(u - 0.5 * math.log(level)))
+    return r / (s * (1.0 + r * (r + s)))
+
+
+def _trapezoid(integrand, level: float) -> tuple:
+    """Sum of integrand(u, level) at K = level, and the gap to the sum on every second node."""
+    # numpy loads with the first quadrature, so requests that never integrate skip it
+    import numpy as np
+
+    log_level = math.log(level)
+    nodes = np.arange(min(0.0, 0.5 * log_level) - _PAD, max(0.0, log_level) + _PAD, _STEP)
+    values = integrand(nodes, level)
+    value = _STEP * float(values.sum())
+    return value, abs(value - 2.0 * _STEP * float(values[::2].sum()))
+
+
 def domain_volume(kappa: float) -> VolumeResult:
     """Symplectic volume of the fundamental domain {a, b, c > 2} at level kappa.
 
@@ -249,15 +276,7 @@ def domain_volume(kappa: float) -> VolumeResult:
         raise OutOfRange(f"kappa = {kappa!r} <= -2", reason="below_range", kappa=kappa)
     if not math.isfinite(kappa):
         raise OutOfRange(f"kappa = {kappa!r} is not finite", reason="not_finite", kappa=kappa)
-    # numpy loads with the first quadrature, so requests that never integrate skip it
-    import numpy as np
-
-    level = kappa + 2.0
-    log_level = math.log(level)
-    nodes = np.arange(min(0.0, 0.5 * log_level) - _PAD, max(0.0, log_level) + _PAD, _STEP)
-    values = _log_v_integrand(nodes, level)
-    value = _STEP * float(values.sum())
-    error = abs(value - 2.0 * _STEP * float(values[::2].sum()))
+    value, error = _trapezoid(_log_v_integrand, kappa + 2.0)
     if not (math.isfinite(value) and error <= max(_TOL, _TOL * abs(value)) * 100.0):
         raise QuadratureNotConverged(
             f"value {value!r} with error estimate {error!r} misses the tolerance",
@@ -280,59 +299,6 @@ def moduli_from_domain(base: VolumeResult) -> VolumeResult:
 def moduli_volume(kappa: float) -> VolumeResult:
     """Volume of the moduli space: four fundamental domains (index-4 subgroup)."""
     return moduli_from_domain(domain_volume(kappa))
-
-
-def volume_polynomials(which: str, args) -> complex:
-    """Known volume polynomials over complex boundary lengths.
-
-    V0 (four-holed sphere, four lengths): (4 pi^2 + sum l_i^2) / 2.
-    V1 (torus with boundary and one extra length): the quartic
-        (4 pi^2 + l1^2 + l2^2)(12 pi^2 + l1^2 + l2^2) / 192.
-    V1_onehole (one-holed torus): (4 pi^2 + l^2) / 24.
-    Purely imaginary lengths encode cone angles.
-    """
-    values = [complex(arg) for arg in args]
-    pi2 = math.pi ** 2
-    if which == "V0":
-        if len(values) != 4:
-            raise ValueError("V0 takes four lengths")
-        return 0.5 * (4.0 * pi2 + sum(v * v for v in values))
-    if which == "V1":
-        if len(values) != 2:
-            raise ValueError("V1 takes two lengths")
-        s = values[0] ** 2 + values[1] ** 2
-        return (4.0 * pi2 + s) * (12.0 * pi2 + s) / 192.0
-    if which == "V1_onehole":
-        if len(values) != 1:
-            raise ValueError("V1_onehole takes one length")
-        return (4.0 * pi2 + values[0] ** 2) / 24.0
-    raise ValueError(f"unknown polynomial {which!r}")
-
-
-@dataclass(frozen=True)
-class DerivativeRelation:
-    ratios: tuple
-    constant: bool
-    constant_value: complex
-
-
-def derivative_relation_check(l2_samples, rel_tol: float = 1e-9) -> DerivativeRelation:
-    """Ratio of d/dl1 V1(l1, l2) at l1 = 2*pi*i to the one-holed torus volume.
-
-    The derivative is (l1/96)(16 pi^2 + 2 l1^2 + 2 l2^2); at l1 = 2*pi*i the
-    ratio against V1_onehole(l2) is pi*i for every l2, which the check
-    verifies sample by sample.
-    """
-    if not l2_samples:
-        raise ValueError("need at least one sample")
-    l1 = 2.0j * math.pi
-    ratios = []
-    for l2 in l2_samples:
-        derivative = (l1 / 96.0) * (16.0 * math.pi ** 2 + 2.0 * l1 ** 2 + 2.0 * complex(l2) ** 2)
-        ratios.append(derivative / volume_polynomials("V1_onehole", [l2]))
-    first = ratios[0]
-    constant = all(abs(r - first) <= rel_tol * max(1.0, abs(first)) for r in ratios)
-    return DerivativeRelation(tuple(ratios), constant, first)
 
 
 def volume_table(kappas) -> list:

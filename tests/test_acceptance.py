@@ -3,30 +3,16 @@
 Each test runs one criterion from the shared verification suite (the same
 code the ``conesphere verify`` subcommand drives) and prints one PASS/FAIL
 line; run with ``pytest -s tests/test_acceptance.py`` to see the lines as
-they complete.  Tolerances are fixed inside the suite:
-
-  1.  kappa anchors: exact values, tr CBA vs the polynomial at 1e-12.
-  2.  involution corollary: phi_beta vs I_b and the displayed rational, 1e-9.
-  3.  group action: kappa invariance for words up to length 8 at 1e-12,
-      involutions square to the identity, domain images disjoint.
-  4.  inequalities: products > 4, both collar bounds, b = 2 equality at 1e-12.
-  5.  volume anchor: pi^2/2 within 1e-4, moduli 2*pi^2 within 4e-4.
-  6.  volume family: polynomial references within 1e-3 across levels.
-  7.  symplectic: density consistency < 1e-6 at h = 1e-5 with O(h^2)
-      refinement, Darboux pairing within 1e-5.
-  8.  Fibonacci growth: depth-15 trees, every vertex finite, transfer
-      identity 1e-12, defect bound log 4, normalized lower bound.
-  9.  reduction: < 200 steps, strictly decreasing energy, replay 1e-9.
-  10. hyperbolization: residual 1e-10, sign lemma, convexity, pairings 1e-9,
-      angle sum within 1e-6 (derived property).
-  11. derivative relation: constant pi*i at 1e-9 agreement.
+they complete.  The samples and tolerances live in the check functions of
+``conesphere.verify``, in one place; most detail lines print the tolerance
+next to the worst gap.
 """
 
 import math
 
 import pytest
 
-from conesphere import growth, verify
+from conesphere import growth, verify, volume
 
 
 def _run(name):
@@ -57,3 +43,25 @@ def test_fibonacci_growth_fails_on_a_nonfinite_vertex(monkeypatch):
     result = verify.run_suite(["fibonacci_growth"], seed=0)[0]
     assert not result.passed
     assert "non-finite" in result.detail and " 0 non-finite" not in result.detail
+
+
+@pytest.mark.parametrize("name", ["_log_v_integrand", "_slope_integrand"])
+def test_derivative_relation_fails_on_a_scaled_integrand(monkeypatch, name):
+    integrand = getattr(volume, name)
+    monkeypatch.setattr(volume, name, lambda u, level: integrand(u, level) * (1.0 + 1e-9))
+    result = verify.run_suite(["derivative_relation"], seed=0)[0]
+    assert not result.passed, result.detail
+
+
+def test_derivative_relation_fails_on_a_nonfinite_slope(monkeypatch):
+    integrand = volume._slope_integrand
+
+    def planted(u, level):
+        values = integrand(u, level)
+        if level < 1e-20:
+            values[len(values) // 2] = math.nan
+        return values
+    monkeypatch.setattr(volume, "_slope_integrand", planted)
+    result = verify.run_suite(["derivative_relation"], seed=0)[0]
+    assert not result.passed
+    assert "gap inf at 50 angles" in result.detail

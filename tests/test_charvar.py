@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 
 from conesphere.charvar import (
+    ANGLE_SUM_TOL,
     BoundaryKind,
     Component,
     GeometricPoint,
     ParamTriple,
+    angle_sum_gap,
     boundary_data,
     c_from_level,
     cba_fixed_point,
@@ -276,3 +278,16 @@ def test_polygon_angle_sum_equals_theta_off_domain():
     assert cert.side_pairings_ok
     assert cert.angle_sum == pytest.approx(theta, abs=1e-9)
     assert not cert.convex
+
+
+@pytest.mark.parametrize("coords", [(2.999999, 3.0, 3.0), (2.9999999995, 3.0, 3.0),
+                                    (2.0000001, 2.0000001, 2.0000001)])
+def test_angle_sum_matches_near_both_ends_of_the_cone_range(coords):
+    # near kappa = 2 and -2, theta = 2 acos(kappa/2) carries the rounding of kappa
+    # over sin(theta/2), and the angle sum misses it by more than 1e-10 relative;
+    # read in kappa, the gap stays at the rounding of abc
+    point = GeometricPoint.from_coords(*coords)
+    cert = polygon_certificate(point)
+    theta = boundary_data(point.kappa).angle
+    assert abs(cert.angle_sum - theta) > 1e-10 * theta
+    assert angle_sum_gap(point, cert.angle_sum) <= ANGLE_SUM_TOL

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conesphere import volume
+from conesphere import charvar, volume
 from conesphere.cli import parse_triple, parse_value, run
 
 REPO = Path(__file__).resolve().parent.parent
@@ -234,6 +235,18 @@ def test_polygon_subcommand(capsys):
     assert document["angle_sum_matches_theta"] is True
     assert document["vertices"][4] == "inf"
     validate("polygon", document)
+
+
+def test_polygon_angle_sum_off_theta_reports_false(capsys, monkeypatch):
+    certify = charvar.polygon_certificate
+
+    def off_theta(point, tol):
+        certificate = certify(point, tol)
+        return dataclasses.replace(certificate, angle_sum=certificate.angle_sum + 1e-8)
+    monkeypatch.setattr(charvar, "polygon_certificate", off_theta)
+    code, document = run_json(capsys, ["polygon", "--triple", "2.5,2.5,2.5"])
+    assert code == 0
+    assert document["angle_sum_matches_theta"] is False
 
 
 def test_polygon_domain_error(capsys):

@@ -17,12 +17,10 @@ from conesphere.errors import (
 from conesphere.volume import (
     axis_endpoints,
     darboux_check,
-    derivative_relation_check,
     domain_volume,
     fenchel_nielsen,
     moduli_volume,
     symplectic_consistency,
-    volume_polynomials,
     volume_table,
     wp_density,
 )
@@ -255,52 +253,21 @@ def test_nonfinite_node_sum_raises(monkeypatch, poison):
         domain_volume(3.0)
 
 
-# --- volume polynomials ---------------------------------------------------------------
+# --- dV/dK, the second sum on the volume's nodes -------------------------------------
 
-def test_v0_values():
-    assert volume_polynomials("V0", [0, 0, 0, 0]) == pytest.approx(2.0 * PI2)
-    assert volume_polynomials("V0", [0, 0, 0, 2j * math.pi]) == 0.0
-
-
-def test_v1_at_cone_angle_two_pi():
-    for l2 in (0.0, 0.7, 2.0):
-        value = volume_polynomials("V1", [2j * math.pi, l2])
-        expected = (l2 ** 2) * (8.0 * PI2 + l2 ** 2) / 192.0
-        assert value.real == pytest.approx(expected, abs=1e-12)
-        assert abs(value.imag) < 1e-12
-    # the quartic at cone angle 2*pi is not the one-holed torus volume:
-    # it vanishes at l2 = 0 where the torus volume is pi^2/6
-    torus = volume_polynomials("V1_onehole", [0.0])
-    assert volume_polynomials("V1", [2j * math.pi, 0.0]) == 0.0
-    assert torus == pytest.approx(PI2 / 6.0)
-
-
-def test_polynomial_arity_checks():
-    with pytest.raises(ValueError):
-        volume_polynomials("V0", [1.0])
-    with pytest.raises(ValueError):
-        volume_polynomials("V2", [1.0])
-
-
-def test_derivative_relation_constant_pi_i():
-    result = derivative_relation_check([0.0, 0.5, 1.0, 2.0, 5.0])
-    assert result.constant
-    assert result.constant_value == pytest.approx(complex(0.0, math.pi), abs=1e-12)
-
-
-def test_derivative_relation_single_sample():
-    result = derivative_relation_check([1.3])
-    assert result.constant
-    assert len(result.ratios) == 1
-
-
-def test_derivative_relation_against_symbolic_oracle():
-    sympy = pytest.importorskip("sympy")
-    l1, l2 = sympy.symbols("l1 l2")
-    quartic = (4 * sympy.pi ** 2 + l1 ** 2 + l2 ** 2) \
-        * (12 * sympy.pi ** 2 + l1 ** 2 + l2 ** 2) / 192
-    derivative = sympy.diff(quartic, l1)
-    at_cone = derivative.subs(l1, 2 * sympy.pi * sympy.I)
-    onehole = (4 * sympy.pi ** 2 + l2 ** 2) / 24
-    ratio = sympy.simplify(at_cone / onehole)
-    assert ratio == sympy.pi * sympy.I
+@pytest.mark.parametrize("level", [1e-20, 1e-12, 1e-6, 0.01, 0.5, 2.0, 3.999, 4.001,
+                                   7.0, 100.0, 1e6])
+def test_slope_matches_closed_form(level):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        k = mpmath.mpf(level)
+        if k < 4:
+            # 2 cos(theta/2) = K - 2 and dV/dtheta = -theta/4, dK/dtheta = -sin(theta/2)
+            theta = 2 * mpmath.acos((k - 2) / 2)
+            want = float(theta / 4 / mpmath.sin(theta / 2))
+        else:
+            # 2 cosh(l/2) = K - 2 and dV/dl = l/4, dK/dl = sinh(l/2)
+            length = 2 * mpmath.acosh((k - 2) / 2)
+            want = float(length / 4 / mpmath.sinh(length / 2))
+    got, _ = volume._trapezoid(volume._slope_integrand, level)
+    assert abs(got - want) <= 1e-12 * want
