@@ -369,7 +369,8 @@ def _cmd_polygon(args, config: RunConfig):
     triple = parse_triple(args.triple)
     point = GeometricPoint(triple)
     certificate = charvar.polygon_certificate(point, config.tolerances.classification)
-    theta = charvar.boundary_data(triple.kappa).angle
+    # no cusp window: the certificate has checked -2 < kappa < 2, so theta > 0
+    theta = charvar.boundary_data(triple.kappa, 0.0).angle
     return {
         "triple": list(triple.as_tuple()),
         "kappa": triple.kappa,

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conesphere import charvar, volume
+from conesphere import charvar, growth, volume
 from conesphere.cli import parse_triple, parse_value, run
 
 REPO = Path(__file__).resolve().parent.parent
@@ -249,6 +249,16 @@ def test_polygon_angle_sum_off_theta_reports_false(capsys, monkeypatch):
     assert document["angle_sum_matches_theta"] is False
 
 
+def test_polygon_theta_inside_cusp_window(capsys):
+    # kappa = 2 - 3e-10 lies inside classify's 1e-9 cusp window
+    code, document = run_json(capsys, ["polygon", "--triple", "2.9999999999,3,3"])
+    assert code == 0
+    assert document["theta"] == 2.0 * math.acos(document["kappa"] / 2.0)
+    assert document["theta"] == pytest.approx(3.464e-5, rel=1e-3)
+    assert document["angle_sum"] == pytest.approx(document["theta"], rel=1e-4)
+    assert document["angle_sum_matches_theta"] is True
+
+
 def test_polygon_domain_error(capsys):
     code, document = run_json(capsys, ["polygon", "--triple", "3,3,3"])
     assert code == 1
@@ -283,6 +293,17 @@ def test_volume_requires_kappa_or_table(capsys):
     with pytest.raises(SystemExit) as info:
         run(["volume"])
     assert info.value.code == 2
+
+
+def test_census_past_value_cap_is_domain_error(capsys, monkeypatch):
+    monkeypatch.setattr(growth, "CENSUS_MAX_VALUES", 10_000)
+    code, document = run_json(capsys, ["tree", "--root", "3,3,3", "--depth", "1",
+                                       "--census", "1e6"])
+    assert code == 1
+    assert document["error"]["code"] == "out_of_range"
+    assert document["error"]["details"]["reason"] == "census_too_large"
+    assert document["error"]["details"]["limit"] == 10_000
+    validate("error", document)
 
 
 def test_tree_rejects_bad_start_edge(capsys):

@@ -1,21 +1,23 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from conesphere import growth
-from conesphere.charvar import GeometricPoint, simple_length
-from conesphere.errors import PivotAtOne
+from conesphere.charvar import GeometricPoint, c_from_level, simple_length
+from conesphere.errors import OutOfRange, PivotAtOne
 from conesphere.growth import (
     LOG4,
     MAX_DEPTH,
     SLOTS,
+    TreeLevel,
     TreeNode,
     bowditch_check,
     expand_tree,
     length_census,
 )
-from conesphere.mcg import PIVOT_INDEX, Involution, apply_involution
+from conesphere.mcg import PIVOT_INDEX, Involution, apply_involution, reduce_to_domain
 
 REGULAR = GeometricPoint.from_coords(3.0, 3.0, 3.0)
 
@@ -71,6 +73,42 @@ def test_level_arrays_match_involution_walk(domain_points):
                 else:
                     assert node.defect == pytest.approx(defect, rel=1e-13)
             nodes = [child for node in nodes for child in node.children]
+
+
+def _reference_grow(level):
+    """One tree level step with the moves, the log step and the F_e sums inline."""
+    excluded = (level.new_slot + 2) % 3
+    moves = np.empty(2 * len(excluded), dtype=np.int8)
+    moves[0::2] = np.where(excluded == 0, 1, 0)
+    moves[1::2] = np.where(excluded == 2, 1, 2)
+    rows = np.arange(len(moves))
+    logs = np.repeat(level.logs, 2, axis=0)
+    lp = logs[rows, moves]
+    assert np.all(lp > growth._LOG_POLE)
+    t = np.log(-np.expm1(-lp))
+    logs += (lp + t)[:, None]
+    logs[rows, moves] = -t
+    slot = (moves + 1) % 3
+    x, y = (slot + 1) % 3, (slot + 2) % 3
+    fe_norm = np.repeat(level.fe_norm, 2, axis=0)
+    fe_norm[rows, slot] = fe_norm[rows, x] + fe_norm[rows, y]
+    fe_value = np.repeat(level.fe_value, 2, axis=0)
+    fe_value[rows, slot] = fe_value[rows, x] + fe_value[rows, y]
+    return TreeLevel(logs, slot, -2.0 * t, fe_norm, fe_value)
+
+
+def test_tree_levels_bit_identical_to_inline_step(monkeypatch, domain_points):
+    # the step shared with the census keeps the tree's arithmetic and its order
+    for point, edge in [(REGULAR, ("ab", "bc")), *((p, ("bc", "ca")) for p in domain_points(2))]:
+        tree = expand_tree(point, edge, 15)
+        with monkeypatch.context() as patch:
+            patch.setattr(growth, "_grow", _reference_grow)
+            reference = expand_tree(point, edge, 15)
+        for got, want in zip(tree.levels, reference.levels, strict=True):
+            for field in dataclasses.fields(TreeLevel):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                assert a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes(), field.name
 
 
 def test_depth_zero_tree():
@@ -240,6 +278,90 @@ def test_census_values_invert_to_lengths():
 def test_census_requires_usable_bound():
     with pytest.raises(ValueError):
         length_census(REGULAR, math.log(4.0))
+    with pytest.raises(ValueError):
+        length_census(REGULAR, math.nan)
+
+
+def _reference_census(root, bound, merge_tol=1e-9):
+    """Rows [value, multiplicity, depth_first_seen] from a breadth-first walk
+    that takes every vertex one at a time in Python."""
+    a, b, c = reduce_to_domain(root).end.as_tuple()
+    la, lb, lc = math.log(a), math.log(b), math.log(c)
+    found = [(f, 0) for f in (la + lb, lb + lc, lc + la) if f <= bound]
+    frontier = [(la, lb, lc, -1)]
+    level = 0
+    while frontier:
+        level += 1
+        following = []
+        for la, lb, lc, excluded in frontier:
+            for move, lp, x, y in ((0, la, lb, lc), (1, lb, lc, la), (2, lc, la, lb)):
+                if move == excluded:
+                    continue
+                t = math.log(-math.expm1(-lp))
+                step = lp + t
+                f_new = x + y + 2.0 * step
+                if f_new > bound:
+                    continue
+                found.append((f_new, level))
+                child = [la + step, lb + step, lc + step]
+                child[move] = -t
+                following.append((*child, move))
+        frontier = following
+    rows = []
+    for value, level in sorted(found):
+        if rows and value - rows[-1][0] <= merge_tol:
+            rows[-1][1] += 1
+            rows[-1][2] = min(rows[-1][2], level)
+        else:
+            rows.append([value, 1, level])
+    return rows
+
+
+def _assert_matches_reference(root, bound):
+    rows = length_census(root, bound)
+    reference = _reference_census(root, bound)
+    assert len(rows) == len(reference)
+    for row, (value, multiplicity, first_seen) in zip(rows, reference):
+        assert (row.multiplicity, row.depth_first_seen) == (multiplicity, first_seen)
+        assert abs(row.value - value) <= 1e-14 * abs(value)
+
+
+@pytest.mark.parametrize("coords, bound", [
+    ((3.0, 3.0, 3.0), 995.0),
+    ((2.5, 3.0, 4.0), 400.0),
+    ((3.0, 3.0, c_from_level(3.0, 3.0, -1.99)), 40.0),
+    ((6.0, 1.5, 6.0), 720.0),      # past the float range of a pair product
+])
+def test_census_matches_scalar_walk(coords, bound):
+    _assert_matches_reference(GeometricPoint.from_coords(*coords), bound)
+
+
+# the 15 levels at bound 30 hold 3, 6, 12, 24, 48, 54, 30, 18, 6, ..., 6, 0
+# vertices: the walk turns to arrays after level 1, 5 or 6, or never
+@pytest.mark.parametrize("width, array_levels", [(1, 14), (48, 10), (49, 9), (55, 0)])
+def test_census_switches_to_arrays_at_any_level(monkeypatch, width, array_levels):
+    steps = []
+    step = growth._step
+
+    def counted(logs, moves):
+        steps.append(len(moves))
+        return step(logs, moves)
+    monkeypatch.setattr(growth, "_step", counted)
+    monkeypatch.setattr(growth, "_ARRAY_FRONTIER", width)
+    _assert_matches_reference(REGULAR, 30.0)
+    assert len(steps) == array_levels
+
+
+@pytest.mark.parametrize("width", [1, 10 ** 9])  # arrays from level 1, scalar only
+def test_census_value_cap(monkeypatch, width):
+    # 2,724 values at bound 100
+    monkeypatch.setattr(growth, "_ARRAY_FRONTIER", width)
+    monkeypatch.setattr(growth, "CENSUS_MAX_VALUES", 2724)
+    assert sum(row.multiplicity for row in length_census(REGULAR, 100.0)) == 2724
+    monkeypatch.setattr(growth, "CENSUS_MAX_VALUES", 2723)
+    with pytest.raises(OutOfRange) as info:
+        length_census(REGULAR, 100.0)
+    assert info.value.details["reason"] == "census_too_large"
 
 
 def test_census_past_float_range():
