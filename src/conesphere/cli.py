@@ -322,7 +322,7 @@ def _cmd_tree(args, config: RunConfig):
                for mode in ("normalized_Fe", "value_Fe")]
     census = None
     if args.census is not None:
-        census = [asdict(row) for row in growth.length_census(point, args.census)]
+        census = [row._asdict() for row in growth.length_census(point, args.census)]
     return {
         "root": list(triple.as_tuple()),
         "start_edge": list(edge),

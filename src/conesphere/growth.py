@@ -35,9 +35,10 @@ overflows at any depth or census bound.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .charvar import GeometricPoint, simple_length
 from .errors import NotGeometric, OutOfRange, PivotAtOne
@@ -67,17 +68,24 @@ MAX_DEPTH = 20  # 2^21 - 1 vertices at 81 B each (about 100 B while a level grow
 # A census walks its frontier one vertex at a time in Python until a level
 # holds this many vertices, then as numpy arrays, one step per level.  The
 # array step has a fixed cost per level that a narrow level does not repay:
-# from (3,3,3), a census of 234 values took 0.43 ms switching at 8 to 32
-# vertices against 0.29 ms switching at 64 or never, one of 10,854 values
-# 6.9 ms against 12.8 ms never switching, and one of 268,368 values 0.17 s
-# against 0.38 s.  A census of a few values never reaches the array walk.
+# from (3,3,3), a census of 234 values took 0.35 ms switching at 8 vertices
+# against 0.28 ms switching at 64 and 0.27 ms never, one of 10,854 values
+# 4.2 ms against 13.7 ms never switching, and one of 268,368 values 0.10 s
+# against 0.72 s (interleaved medians on a loaded 2-vCPU host).  The merge
+# and the lengths follow the walk's switch: as arrays they cost more than in
+# Python on a few values (35 us against 20 us on 30 values) and break even
+# near 234 (63 us against 65 us).  A census of a few values never reaches
+# the array walk.
 _ARRAY_FRONTIER = 64
 
 # Values a census may produce before it raises OutOfRange.  The count grows as
 # bound^2 (268,368 at bound 1000 from (3,3,3)) and as 1/sqrt(kappa + 2) near
 # kappa = -2.  A completed census holds about 120 B per value; the (3,3,3)
-# census to bound 1e6 reaches the cap in 0.4 s at a peak of 180 MB.
+# census to bound 1e6 reaches the cap in 0.15 s at a peak of 165 MB.
 CENSUS_MAX_VALUES = 1 << 21
+
+# Census values closer than this to the first value of a row join that row.
+CENSUS_MERGE_TOL = 1e-9
 
 
 def _pivot_at_one(move: int, lp) -> PivotAtOne:
@@ -114,24 +122,21 @@ def _next_moves(created: np.ndarray) -> np.ndarray:
     return np.asarray(_NEXT_MOVES, dtype=np.int8)[created].ravel()
 
 
-def _step(logs: np.ndarray, moves: np.ndarray) -> np.ndarray:
-    """Apply ``moves[i]`` to row i of the log coordinates ``logs`` in place.
+def _step(lp: np.ndarray, moves: np.ndarray) -> tuple:
+    """The log step at pivots p = e^lp, for arrays of any shape.
 
-    Returns t = log(-expm1(-lp)) per row: the pivot coordinate becomes -t
-    and the other two gain lp + t = log(p - 1).
+    Returns t = log(-expm1(-lp)) and step = lp + t = log(p - 1): the pivot
+    coordinate becomes -t and the other two gain step.  Raises PivotAtOne at
+    the first pivot at the pole; ``moves`` names each pivot's involution.
     """
     import numpy as np
 
-    rows = np.arange(len(moves))
-    lp = logs[rows, moves]
-    at_pole = ~(lp > _LOG_POLE)
-    if at_pole.any():
-        first = int(np.argmax(at_pole))
-        raise _pivot_at_one(int(moves[first]), lp[first])
+    above = lp > _LOG_POLE
+    if not above.all():
+        first = int(np.argmin(above))
+        raise _pivot_at_one(int(moves.flat[first]), lp.flat[first])
     t = np.log(-np.expm1(-lp))
-    logs += (lp + t)[:, None]
-    logs[rows, moves] = -t
-    return t
+    return t, lp + t
 
 
 def _grow(level: TreeLevel) -> TreeLevel:
@@ -140,8 +145,11 @@ def _grow(level: TreeLevel) -> TreeLevel:
 
     moves = _next_moves((level.new_slot + 2) % 3)
     logs = np.repeat(level.logs, 2, axis=0)
-    t = _step(logs, moves)
     rows = np.arange(len(moves))
+    t, step = _step(logs[rows, moves], moves)
+    logs += step[:, None]
+    logs[rows, moves] = -t
+    del step  # not held while the comparison values grow
     slot = (moves + 1) % 3
     x, y = (slot + 1) % 3, (slot + 2) % 3
     fe_norm = np.repeat(level.fe_norm, 2, axis=0)
@@ -287,8 +295,7 @@ def bowditch_check(tree: TreeNode, mode: str = "normalized_Fe",
     return GrowthReport(mode, nodes_checked, defect_max, LOG4, bowditch_ok, lower_bound_ok)
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     value: float            # log of the pair product
     length: float           # simple loop length 2*acosh((e^value - 2)/2)
     multiplicity: int
@@ -303,13 +310,120 @@ def _length(value: float) -> float:
     return simple_length(math.exp(value))
 
 
+def _lengths(values: np.ndarray) -> np.ndarray:
+    """``_length`` of every value, both branches as arrays."""
+    import numpy as np
+
+    far = values >= 40.0
+    near = np.where(far, 40.0, values)
+    return np.where(far, 2.0 * (values + np.log1p(-2.0 * np.exp(-values))),
+                    2.0 * np.arccosh((np.exp(near) - 2.0) / 2.0))
+
+
 def _census_too_large(bound: float) -> OutOfRange:
     return OutOfRange(f"census to bound {bound!r} passes {CENSUS_MAX_VALUES} values",
                       reason="census_too_large", bound=bound, limit=CENSUS_MAX_VALUES)
 
 
-def length_census(root: GeometricPoint, bound: float,
-                  merge_tol: float = 1e-9) -> list:
+def _merge(values: list, levels: list) -> list:
+    """Census rows from the values and levels of a census walked in Python."""
+    import numpy as np
+
+    values, levels = np.asarray(values), np.asarray(levels)
+    order = np.argsort(values)
+    ordered = values[order].tolist()
+    starts = []
+    first = -math.inf
+    for k, f_value in enumerate(ordered):
+        if f_value - first > CENSUS_MERGE_TOL:
+            first = f_value
+            starts.append(k)
+    if not starts:
+        return []
+    multiplicity = np.diff(starts, append=len(ordered)).tolist()
+    first_seen = np.minimum.reduceat(levels[order], starts).tolist()
+    return [
+        CensusRow(ordered[k], _length(ordered[k]), count, seen)
+        for k, count, seen in zip(starts, multiplicity, first_seen)
+    ]
+
+
+def _merge_columns(values: np.ndarray, levels: np.ndarray) -> list:
+    """The rows ``_merge`` makes, from a nonempty census as arrays."""
+    import numpy as np
+
+    order = np.argsort(values)
+    ordered, levels = values[order], levels[order]
+    # A gap above the tolerance always starts a row.  A run of smaller gaps
+    # is one row unless it spans more than the tolerance; only such runs are
+    # scanned value by value against the first value of their row.
+    cut = np.flatnonzero(np.diff(ordered) > CENSUS_MERGE_TOL) + 1
+    run_start = np.concatenate(([0], cut))
+    run_end = np.concatenate((cut, [len(ordered)]))
+    starts = run_start
+    wide = np.flatnonzero(ordered[run_end - 1] - ordered[run_start] > CENSUS_MERGE_TOL)
+    if len(wide):
+        inner = []
+        for s, e in zip(run_start[wide].tolist(), run_end[wide].tolist()):
+            run = ordered[s:e].tolist()
+            first = run[0]
+            for k, f_value in enumerate(run[1:], s + 1):
+                if f_value - first > CENSUS_MERGE_TOL:
+                    first = f_value
+                    inner.append(k)
+        starts = np.sort(np.concatenate((run_start, inner)))
+    values = ordered[starts]
+    return list(map(CensusRow._make, zip(
+        values.tolist(), _lengths(values).tolist(),
+        np.diff(starts, append=len(ordered)).tolist(),
+        np.minimum.reduceat(levels, starts).tolist())))
+
+
+def _walk_columns(frontier: list, bound: float, produced: int) -> tuple:
+    """The values below ``frontier`` and the count of them on each level,
+    one numpy step per level.
+
+    A vertex's logs are kept as a column in the vertex's own order: the
+    coordinate of the move that created it, then the pivots of its two next
+    moves, so a level reads both moves' pivots as two rows.  It computes
+    both children's values, keeps those within the bound, counts them
+    against CENSUS_MAX_VALUES (``produced`` values are already made), and
+    only then builds the kept children's columns.
+    """
+    import numpy as np
+
+    # own order (l, u, v): the children by moves u and v have own orders
+    # (u, l, v) and (v, l, u)
+    orders = list(itertools.permutations(range(3)))
+    moves_of = np.array([order[1:] for order in orders], dtype=np.int8).T
+    child_of = np.array([(orders.index((u, l, v)), orders.index((v, l, u)))
+                         for l, u, v in orders], dtype=np.int8).T
+    start = [orders.index((k, *_NEXT_MOVES[k])) for *_, k in frontier]
+    logs = np.array([[vertex[i] for i in orders[own]]
+                     for vertex, own in zip(frontier, start)]).T.copy()
+    own = np.array(start, dtype=np.int8)
+    found, counts = [], []
+    while len(own):
+        t, step = _step(logs[1:], moves_of[:, own])
+        # the child by either move pairs the created coordinate with the
+        # other move's pivot, both gaining the step
+        created, other = logs[0] + step, logs[:0:-1] + step
+        f_new = created + other
+        inside = np.flatnonzero(f_new <= bound)
+        produced += len(inside)
+        if produced > CENSUS_MAX_VALUES:
+            raise _census_too_large(bound)
+        found.append(f_new.take(inside))
+        counts.append(len(inside))
+        own = child_of[:, own].take(inside)
+        logs = np.empty((3, len(inside)))
+        for row, column in zip(logs, (t, created, other)):
+            column.take(inside, out=row)
+        np.negative(logs[0], out=logs[0])
+    return np.concatenate(found), counts
+
+
+def length_census(root: GeometricPoint, bound: float) -> list:
     """All region values f <= bound in the orbit tree, with multiplicity.
 
     The region values are an orbit invariant, so the root is first moved to
@@ -318,20 +432,18 @@ def length_census(root: GeometricPoint, bound: float,
     makes pruning at the bound exact.  Breadth-first over the full trivalent
     tree (every involution allowed at the root, the creating move excluded
     below); ``depth_first_seen`` counts levels from the representative.
-    Values are merged at ``merge_tol`` absolute against the first value of
-    a row; rows come back sorted.  The walk runs in log coordinates, so no
-    value overflows at any bound.
+    Values are merged at CENSUS_MERGE_TOL absolute against the first value
+    of a row; rows come back sorted.  The walk runs in log coordinates, so
+    no value overflows at any bound.
 
     Narrow levels are walked one vertex at a time in Python; once a level
     holds ``_ARRAY_FRONTIER`` vertices the rest of the walk takes one numpy
-    step per level, the step expand_tree takes, because numpy's fixed cost
-    per level outweighs the per-vertex saving on narrow levels (a census of
-    a few values would take about 2.5x as long).  A census that would produce
-    more than CENSUS_MAX_VALUES values raises OutOfRange with reason
-    'census_too_large'.
+    step per level, computing both children's values and building only the
+    children within the bound.  The merge and the lengths follow the walk:
+    in Python after a walk that stayed in Python, as arrays after one that
+    switched.  A census that would produce more than CENSUS_MAX_VALUES
+    values raises OutOfRange with reason 'census_too_large'.
     """
-    import numpy as np
-
     if not bound > LOG4:
         raise ValueError(f"bound must exceed log 4, got {bound!r}")
     a, b, c = reduce_to_domain(root).end.as_tuple()
@@ -369,40 +481,11 @@ def length_census(root: GeometricPoint, bound: float,
         frontier = following
         if len(frontier) >= _ARRAY_FRONTIER:
             break
-    values, levels = np.asarray(values), np.asarray(levels)
-    if frontier:
-        found, depths = [values], [levels]
-        produced = len(values)
-        start = np.array(frontier)
-        logs, created = start[:, :3], start[:, 3].astype(np.int8)
-        while len(logs):
-            level += 1
-            moves = _next_moves(created)
-            logs = np.repeat(logs, 2, axis=0)
-            _step(logs, moves)
-            rows = np.arange(len(moves))
-            f_new = logs[rows, (moves + 1) % 3] + logs[rows, (moves + 2) % 3]
-            inside = f_new <= bound
-            logs, created = logs[inside], moves[inside]
-            found.append(f_new[inside])
-            depths.append(np.full(len(logs), level))
-            produced += len(logs)
-            if produced > CENSUS_MAX_VALUES:
-                raise _census_too_large(bound)
-        values, levels = np.concatenate(found), np.concatenate(depths)
-    order = np.argsort(values)
-    ordered = values[order].tolist()
-    starts = []
-    first = -math.inf
-    for k, f_value in enumerate(ordered):
-        if f_value - first > merge_tol:
-            first = f_value
-            starts.append(k)
-    if not starts:
-        return []
-    multiplicity = np.diff(starts, append=len(ordered)).tolist()
-    first_seen = np.minimum.reduceat(levels[order], starts).tolist()
-    return [
-        CensusRow(ordered[k], _length(ordered[k]), count, seen)
-        for k, count, seen in zip(starts, multiplicity, first_seen)
-    ]
+    if not frontier:
+        return _merge(values, levels)
+    import numpy as np
+
+    deeper, counts = _walk_columns(frontier, bound, len(values))
+    depths = np.repeat(np.arange(level + 1, level + 1 + len(counts)), counts)
+    return _merge_columns(np.concatenate((values, deeper)),
+                          np.concatenate((levels, depths)))

@@ -343,13 +343,38 @@ def test_census_switches_to_arrays_at_any_level(monkeypatch, width, array_levels
     steps = []
     step = growth._step
 
-    def counted(logs, moves):
-        steps.append(len(moves))
-        return step(logs, moves)
+    def counted(lp, moves):
+        steps.append(lp.size)
+        return step(lp, moves)
     monkeypatch.setattr(growth, "_step", counted)
     monkeypatch.setattr(growth, "_ARRAY_FRONTIER", width)
     _assert_matches_reference(REGULAR, 30.0)
     assert len(steps) == array_levels
+
+
+def test_census_merge_as_arrays_follows_first_of_row():
+    # adjacent gaps of 0.6e-9 all sit below the 1e-9 tolerance, but a row
+    # ends where the span from its first value passes it: rows start at
+    # every second value of the chain, and 10 + 1.8e-9 comes twice
+    chain = [10.0 + k * 0.6e-9 for k in range(9)] + [10.0 + 3 * 0.6e-9, 11.0]
+    levels = [4, 2, 7, 5, 3, 6, 1, 8, 9, 0, 3]
+
+    def merged(rows):
+        return [(row.value, row.multiplicity, row.depth_first_seen) for row in rows]
+    rows = merged(growth._merge_columns(np.array(chain), np.array(levels)))
+    assert rows == merged(growth._merge(chain, levels))
+    assert rows == [(chain[0], 2, 2), (chain[2], 3, 0), (chain[4], 2, 3), (chain[6], 2, 1),
+                    (chain[8], 1, 9), (11.0, 1, 3)]
+
+
+def test_census_lengths_as_arrays_match_scalar():
+    values = [LOG4 + 1e-6, math.nextafter(40.0, 0.0), 40.0, math.nextafter(40.0, 41.0),
+              709.8, 720.0]
+    values += [row.value for row in length_census(REGULAR, 300.0)]
+    lengths = growth._lengths(np.array(values)).tolist()
+    for value, length in zip(values, lengths, strict=True):
+        want = growth._length(value)
+        assert abs(length - want) <= 2.2e-16 * want, value
 
 
 @pytest.mark.parametrize("width", [1, 10 ** 9])  # arrays from level 1, scalar only
